@@ -7,7 +7,9 @@
 
 #include "bench_json.hpp"
 
+#include <algorithm>
 #include <iostream>
+#include <vector>
 
 #include "hpcqc/circuit/execute.hpp"
 #include "hpcqc/common/rng.hpp"
@@ -35,7 +37,10 @@ void BM_Apply1q(benchmark::State& state) {
       static_cast<std::int64_t>(state.iterations()) *
       static_cast<std::int64_t>(sv.dimension()));
 }
-BENCHMARK(BM_Apply1q)->Arg(10)->Arg(16)->Arg(20)->Arg(24);
+// 6-12 qubits is the variational loop's shape: cache-resident states that
+// run below kParallelThreshold, where per-call overhead shows per amplitude.
+BENCHMARK(BM_Apply1q)->Arg(6)->Arg(8)->Arg(10)->Arg(12)->Arg(16)->Arg(20)
+    ->Arg(24);
 
 void BM_Apply2q(benchmark::State& state) {
   qsim::StateVector sv(static_cast<int>(state.range(0)));
@@ -106,14 +111,17 @@ void BM_NoisyExecutionTrajectory(benchmark::State& state) {
 }
 BENCHMARK(BM_NoisyExecutionTrajectory)->Unit(benchmark::kMillisecond);
 
-// The headline trajectory workload: 20 qubits, ~40 layers of PRX + CZ
-// along the coupled chain, 256 shots. This is the configuration the
-// parallel trajectory engine is sized for; the shot loop dominates.
+// The headline trajectory workload: 20 layers of PRX + CZ along the first
+// `width` qubits of the coupled chain, 256 shots; the shot loop dominates.
+// Width 20 is the configuration the parallel trajectory engine is sized
+// for, width 8 the variational loop's cache-resident shape, and width 16 a
+// variant small enough for a CI smoke.
 void BM_TrajectoryExecute(benchmark::State& state) {
   Rng rng(4);
   device::DeviceModel device = device::make_iqm20(rng);
   const auto chain = device.topology().coupled_chain();
-  const int n = static_cast<int>(chain.size());
+  const int n = std::min(static_cast<int>(state.range(0)),
+                         static_cast<int>(chain.size()));
   circuit::Circuit c(20);
   for (int layer = 0; layer < 20; ++layer) {
     for (int i = 0; i < n; ++i)
@@ -122,15 +130,15 @@ void BM_TrajectoryExecute(benchmark::State& state) {
       c.cz(chain[static_cast<std::size_t>(i)],
            chain[static_cast<std::size_t>(i + 1)]);
   }
-  c.measure();
+  c.measure(std::vector<int>(chain.begin(), chain.begin() + n));
   for (auto _ : state) {
     benchmark::DoNotOptimize(device.execute(
         c, 256, rng, device::ExecutionMode::kTrajectory));
   }
   state.SetItemsProcessed(state.iterations() * 256);
 }
-BENCHMARK(BM_TrajectoryExecute)->Unit(benchmark::kMillisecond)
-    ->MeasureProcessCPUTime()->UseRealTime();
+BENCHMARK(BM_TrajectoryExecute)->Arg(8)->Arg(16)->Arg(20)
+    ->Unit(benchmark::kMillisecond)->MeasureProcessCPUTime()->UseRealTime();
 
 // Sampling cost per shot batch on a 20-qubit state. Arg(1) exercises the
 // single-shot path used once per trajectory (previously an O(2^n) CDF

@@ -167,9 +167,11 @@ Circuit ParametricCircuit::bind(
     const std::map<std::string, double>& binding) const {
   // Reject unknown binding entries (typo protection).
   const auto known = parameters();
-  for (const auto& [name, value] : binding)
-    expects(std::binary_search(known.begin(), known.end(), name),
-            "ParametricCircuit::bind: unknown parameter '" + name + "'");
+  for (const auto& [name, value] : binding) {
+    if (!std::binary_search(known.begin(), known.end(), name))
+      throw PreconditionError("ParametricCircuit::bind: unknown parameter '" +
+                              name + "'");
+  }
 
   Circuit circuit(num_qubits_);
   for (const auto& op : ops_) {

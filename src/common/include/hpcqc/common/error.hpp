@@ -3,6 +3,7 @@
 #include <source_location>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace hpcqc {
 
@@ -143,16 +144,20 @@ inline const char* to_string(ErrorCode code) {
   return "?";
 }
 
-/// Throws PreconditionError with `message` unless `condition` holds.
-inline void expects(bool condition, const std::string& message,
+/// Throws PreconditionError with `message` unless `condition` holds. The
+/// message is a view, copied into a std::string only on the throwing path,
+/// so a passing check allocates nothing. A caller whose message needs
+/// formatting tests the condition itself and builds the text only when it
+/// fails: an argument expression is evaluated even when the check passes.
+inline void expects(bool condition, std::string_view message,
                     std::source_location loc = std::source_location::current()) {
-  if (!condition) throw PreconditionError(message, loc);
+  if (!condition) throw PreconditionError(std::string(message), loc);
 }
 
-/// Throws StateError with `message` unless `condition` holds.
-inline void ensure_state(bool condition, const std::string& message,
+/// Throws StateError with `message` unless `condition` holds (see expects).
+inline void ensure_state(bool condition, std::string_view message,
                          std::source_location loc = std::source_location::current()) {
-  if (!condition) throw StateError(message, loc);
+  if (!condition) throw StateError(std::string(message), loc);
 }
 
 }  // namespace hpcqc

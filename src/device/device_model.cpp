@@ -162,11 +162,12 @@ void DeviceModel::validate_executable(const circuit::Circuit& circuit) const {
           "execute: circuit register must match the device "
           "(compile/route first)");
   for (const auto& op : circuit.ops()) {
-    if (circuit::op_is_two_qubit(op.kind)) {
-      expects(topology_.has_edge(op.qubits[0], op.qubits[1]),
-              "execute: two-qubit gate between uncoupled qubits q" +
-                  std::to_string(op.qubits[0]) + ", q" +
-                  std::to_string(op.qubits[1]) + " — route the circuit first");
+    if (circuit::op_is_two_qubit(op.kind) &&
+        !topology_.has_edge(op.qubits[0], op.qubits[1])) {
+      throw PreconditionError(
+          "execute: two-qubit gate between uncoupled qubits q" +
+          std::to_string(op.qubits[0]) + ", q" +
+          std::to_string(op.qubits[1]) + " — route the circuit first");
     }
   }
   if (!health_.all_healthy() && !health_.circuit_legal(topology_, circuit)) {

@@ -54,7 +54,7 @@ struct FaultEvent {
   /// Device indices hit by a correlated fleet site (kCryoPlantTrip covers
   /// every device on the shared plant; kFacilityPower draws a subset).
   /// Empty for single-device sites.
-  std::vector<int> devices;
+  std::vector<int> devices{};
 
   Seconds end() const { return at + duration; }
 };

@@ -395,8 +395,9 @@ CompiledProgram CompiledTemplate::bind(
     const std::map<std::string, double>& binding) const {
   for (const auto& [name, value] : binding) {
     (void)value;
-    expects(std::binary_search(parameters.begin(), parameters.end(), name),
-            "CompiledTemplate::bind: unknown parameter '" + name + "'");
+    if (!std::binary_search(parameters.begin(), parameters.end(), name))
+      throw PreconditionError("CompiledTemplate::bind: unknown parameter '" +
+                              name + "'");
   }
   std::vector<double> values(parameters.size());
   for (std::size_t i = 0; i < parameters.size(); ++i) {

@@ -11,6 +11,29 @@ namespace hpcqc::qsim {
 namespace {
 // Below this state size the OpenMP fork costs more than the loop.
 constexpr std::uint64_t kParallelThreshold = std::uint64_t{1} << 14;
+
+// Runs body(i) for every i in [0, count) of a gate sweep over a state of
+// `dim` amplitudes. Below kParallelThreshold the loop is plain serial code
+// with no OpenMP construct: even `parallel for if (false)` makes libgomp
+// build a one-thread team on every call, which costs more than the whole
+// sweep of a cache-resident state. Each branch runs a private copy of
+// `body`: the caller's closure escapes into the parallel region, so stores
+// through the state pointer may alias it, and the compiler would reload the
+// closure's coefficients on every iteration.
+template <class Body>
+void sweep(std::uint64_t dim, std::int64_t count, const Body& body) {
+  if (dim < kParallelThreshold) {
+    const Body local = body;
+    for (std::int64_t i = 0; i < count; ++i) local(i);
+    return;
+  }
+#pragma omp parallel
+  {
+    const Body local = body;
+#pragma omp for schedule(static)
+    for (std::int64_t i = 0; i < count; ++i) local(i);
+  }
+}
 }  // namespace
 
 StateVector::StateVector(int num_qubits) : num_qubits_(num_qubits) {
@@ -48,8 +71,7 @@ void StateVector::apply_1q(const Matrix2& u, int qubit) {
     const double d0i = u[0].imag();
     const double d1r = u[3].real();
     const double d1i = u[3].imag();
-#pragma omp parallel for if (dim >= kParallelThreshold) schedule(static)
-    for (std::int64_t i = 0; i < static_cast<std::int64_t>(dim); ++i) {
+    sweep(dim, static_cast<std::int64_t>(dim), [=](std::int64_t i) {
       const auto idx = static_cast<std::uint64_t>(i);
       const double dr = (idx & stride) ? d1r : d0r;
       const double di = (idx & stride) ? d1i : d0i;
@@ -57,7 +79,7 @@ void StateVector::apply_1q(const Matrix2& u, int qubit) {
       const double im = a[2 * idx + 1];
       a[2 * idx] = dr * re - di * im;
       a[2 * idx + 1] = dr * im + di * re;
-    }
+    });
     return;
   }
 
@@ -65,8 +87,7 @@ void StateVector::apply_1q(const Matrix2& u, int qubit) {
   const double u1r = u[1].real(), u1i = u[1].imag();
   const double u2r = u[2].real(), u2i = u[2].imag();
   const double u3r = u[3].real(), u3i = u[3].imag();
-#pragma omp parallel for if (dim >= kParallelThreshold) schedule(static)
-  for (std::int64_t k = 0; k < pairs; ++k) {
+  sweep(dim, pairs, [=](std::int64_t k) {
     // Index of the amplitude with the target bit clear.
     const auto kk = static_cast<std::uint64_t>(k);
     const std::uint64_t i0 =
@@ -78,7 +99,7 @@ void StateVector::apply_1q(const Matrix2& u, int qubit) {
     a[i0 + 1] = (u0r * li + u0i * lr) + (u1r * hi + u1i * hr);
     a[i1] = (u2r * lr - u2i * li) + (u3r * hr - u3i * hi);
     a[i1 + 1] = (u2r * li + u2i * lr) + (u3r * hi + u3i * hr);
-  }
+  });
 }
 
 void StateVector::apply_2q(const Matrix4& u, int qubit0, int qubit1) {
@@ -103,8 +124,7 @@ void StateVector::apply_2q(const Matrix4& u, int qubit0, int qubit1) {
     ui[e] = u[static_cast<std::size_t>(e)].imag();
   }
 
-#pragma omp parallel for if (dim >= kParallelThreshold) schedule(static)
-  for (std::int64_t g = 0; g < groups; ++g) {
+  sweep(dim, groups, [=](std::int64_t g) {
     // Expand the group index into a base index with both target bits clear:
     // split g into (low | mid | top) around the two strides and shift the
     // mid/top parts up by one bit each.
@@ -136,7 +156,7 @@ void StateVector::apply_2q(const Matrix4& u, int qubit0, int qubit1) {
       a[2 * idx[row]] = re;
       a[2 * idx[row] + 1] = im;
     }
-  }
+  });
 }
 
 void StateVector::apply_cphase(double theta, int qubit0, int qubit1) {
@@ -148,11 +168,10 @@ void StateVector::apply_cphase(double theta, int qubit0, int qubit1) {
   const Complex phase = std::polar(1.0, theta);
   const std::uint64_t dim = dimension();
   Complex* a = amps_.data();
-#pragma omp parallel for if (dim >= kParallelThreshold) schedule(static)
-  for (std::int64_t i = 0; i < static_cast<std::int64_t>(dim); ++i) {
+  sweep(dim, static_cast<std::int64_t>(dim), [=](std::int64_t i) {
     const auto idx = static_cast<std::uint64_t>(i);
     if ((idx & mask) == mask) a[idx] *= phase;
-  }
+  });
 }
 
 double StateVector::norm() const {

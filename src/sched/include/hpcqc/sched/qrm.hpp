@@ -53,8 +53,8 @@ struct QuantumJob {
   /// structure phase is shared across every job with the same circuit
   /// shape, and queued structures are prefetched on the compile farm before
   /// dispatch. `circuit` is ignored and overwritten with the binding.
-  std::shared_ptr<const circuit::ParametricCircuit> parametric;
-  std::map<std::string, double> binding;
+  std::shared_ptr<const circuit::ParametricCircuit> parametric{};
+  std::map<std::string, double> binding{};
   /// Devices this job has been migrated off (see Fleet). Carried so the
   /// destination's record shows the full hop count.
   std::size_t migrations = 0;

@@ -447,10 +447,10 @@ int Qrm::submit(QuantumJob job) {
   if (accounting_ != nullptr && !job.project.empty()) {
     const Seconds estimate =
         static_cast<double>(job.shots) * device_->shot_duration(job.circuit);
-    ensure_state(accounting_->can_afford(job.project, estimate),
-                 "Qrm::submit: project '" + job.project +
-                     "' cannot afford the estimated " +
-                     std::to_string(estimate) + " QPU-seconds");
+    if (!accounting_->can_afford(job.project, estimate))
+      throw StateError("Qrm::submit: project '" + job.project +
+                       "' cannot afford the estimated " +
+                       std::to_string(estimate) + " QPU-seconds");
   }
   QuantumJobRecord record;
   record.id = next_id_++;

@@ -145,10 +145,9 @@ void FileWalBackend::open_segment(std::uint64_t id) {
 
 void FileWalBackend::append(const std::uint8_t* data, std::size_t size) {
   ensure_state(has_current_, "FileWalBackend: no open segment");
-  std::ofstream out(segment_path(current_),
-                    std::ios::binary | std::ios::app);
-  ensure_state(static_cast<bool>(out),
-               "FileWalBackend: cannot append to " + segment_path(current_));
+  const std::string path = segment_path(current_);
+  std::ofstream out(path, std::ios::binary | std::ios::app);
+  if (!out) throw StateError("FileWalBackend: cannot append to " + path);
   out.write(reinterpret_cast<const char*>(data),
             static_cast<std::streamsize>(size));
   out.flush();

@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <cstdlib>
+#include <new>
 #include <sstream>
+#include <string>
 
 #include "hpcqc/common/error.hpp"
 #include "hpcqc/common/log.hpp"
@@ -10,6 +14,24 @@
 #include "hpcqc/common/stats.hpp"
 #include "hpcqc/common/table.hpp"
 #include "hpcqc/common/units.hpp"
+
+namespace {
+// Every global operator new in this test executable, so a test can show
+// that a code path allocates nothing.
+std::atomic<std::size_t> g_allocations{0};
+}  // namespace
+
+// Kept out of line: inlined into one caller, a malloc-backed new and a
+// free-backed delete read to GCC as a mismatched allocation pair.
+[[gnu::noinline]] void* operator new(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace hpcqc {
 namespace {
@@ -27,6 +49,41 @@ TEST(Error, ExpectsThrowsWithMessage) {
 
 TEST(Error, EnsureStateThrowsStateError) {
   EXPECT_THROW(ensure_state(false, "bad state"), StateError);
+}
+
+TEST(Error, PassingChecksAllocateNothing) {
+  // Far past std::string's 15-character inline buffer: a check that built
+  // its message eagerly would allocate on every call.
+  static constexpr char kMessage[] = "Widget::frob: the frobnication overflows";
+  static_assert(sizeof(kMessage) - 1 == 40);
+  volatile bool holds = true;  // opaque to the optimizer
+
+  const std::size_t before_probe = g_allocations.load();
+  const std::string probe(kMessage);
+  ASSERT_GT(g_allocations.load(), before_probe)
+      << "the counting operator new is not installed";
+
+  const std::size_t before = g_allocations.load();
+  for (int i = 0; i < 100; ++i) {
+    expects(holds, kMessage);
+    ensure_state(holds, kMessage);
+  }
+  EXPECT_EQ(g_allocations.load() - before, 0u);
+
+  // The failing paths still carry the whole message.
+  holds = false;
+  try {
+    expects(holds, kMessage);
+    FAIL() << "expects did not throw";
+  } catch (const PreconditionError& err) {
+    EXPECT_NE(std::string(err.what()).find(probe), std::string::npos);
+  }
+  try {
+    ensure_state(holds, kMessage);
+    FAIL() << "ensure_state did not throw";
+  } catch (const StateError& err) {
+    EXPECT_NE(std::string(err.what()).find(probe), std::string::npos);
+  }
 }
 
 TEST(Error, TransientVsPermanentTaxonomy) {

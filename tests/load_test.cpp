@@ -67,7 +67,9 @@ TEST(LoadGenerator, ScheduleIsOrderedTicketedAndInBounds) {
   for (std::size_t i = 0; i < schedule.size(); ++i) {
     const Arrival& arrival = schedule[i];
     EXPECT_EQ(arrival.ticket, i);  // dense, monotone tickets
-    if (i > 0) EXPECT_GE(arrival.time, schedule[i - 1].time);
+    if (i > 0) {
+      EXPECT_GE(arrival.time, schedule[i - 1].time);
+    }
     EXPECT_LT(arrival.time, config.duration);
     EXPECT_LT(arrival.tenant, config.tenants);
     EXPECT_GE(arrival.shots, config.min_shots);

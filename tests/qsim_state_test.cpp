@@ -121,6 +121,57 @@ TEST_P(RandomCircuitUnitarity, NormPreservedUnderRandomGates) {
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomCircuitUnitarity,
                          ::testing::Range(1, 9));
 
+TEST(StateVector, SerialAndParallelSweepsShareOneArithmetic) {
+  // The kernels run serially below 2^14 amplitudes and under OpenMP from
+  // there on. One seeded gate sequence on qubits 0-12 drives a 13-qubit
+  // state down the serial branch and a 14-qubit one, whose qubit 13 stays
+  // idle, down the parallel branch: the wide state's bit-13-clear half must
+  // equal the narrow state bit for bit, for every kernel.
+  StateVector narrow(13);
+  StateVector wide(14);
+  Rng rng(2024);
+  const auto angle = [&rng] { return rng.uniform(0.0, 6.28); };
+  for (int step = 0; step < 160; ++step) {
+    const int q0 = static_cast<int>(rng.uniform_index(13));
+    int q1 = static_cast<int>(rng.uniform_index(12));
+    if (q1 >= q0) ++q1;
+    switch (step % 4) {
+      case 0: {  // apply_1q, general path
+        const Matrix2 u = gate_prx(angle(), angle());
+        narrow.apply_1q(u, q0);
+        wide.apply_1q(u, q0);
+        break;
+      }
+      case 1: {  // apply_1q, diagonal path
+        const Matrix2 u = gate_rz(angle());
+        narrow.apply_1q(u, q0);
+        wide.apply_1q(u, q0);
+        break;
+      }
+      case 2: {  // apply_2q with a dense matrix
+        const Matrix4 u = kron(gate_prx(angle(), angle()),
+                               gate_prx(angle(), angle()));
+        narrow.apply_2q(u, q0, q1);
+        wide.apply_2q(u, q0, q1);
+        break;
+      }
+      default: {
+        const double theta = angle();
+        narrow.apply_cphase(theta, q0, q1);
+        wide.apply_cphase(theta, q0, q1);
+        break;
+      }
+    }
+  }
+  const auto& lo = narrow.amplitudes();
+  const auto& hi = wide.amplitudes();
+  for (std::uint64_t i = 0; i < narrow.dimension(); ++i) {
+    ASSERT_EQ(hi[i], lo[i]) << "amplitude " << i;
+    ASSERT_EQ(hi[i + narrow.dimension()], Complex{}) << "amplitude " << i;
+  }
+  EXPECT_NEAR(narrow.norm(), 1.0, 1e-10);
+}
+
 TEST(StateVector, MeasureCollapsesDeterministicState) {
   StateVector state(2);
   state.apply_1q(gate_x(), 1);

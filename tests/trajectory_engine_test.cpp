@@ -11,6 +11,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
+#include <utility>
 #include <vector>
 
 #include "hpcqc/circuit/circuit.hpp"
@@ -71,6 +73,44 @@ TEST(TrajectoryEngine, CountsAreIdenticalForAnyThreadCount) {
 #endif
   EXPECT_EQ(serial.total_shots(), 96u);
   EXPECT_EQ(serial.raw(), parallel.raw());
+}
+
+TEST(TrajectoryEngine, LayeredChainCountsArePinned) {
+  // Exact histograms of an 8-layer chain job at the variational loop's
+  // widths, whose gate kernels take the serial path. Any change to
+  // per-amplitude arithmetic, error draws or sampling moves them.
+  using Histogram = std::map<std::uint64_t, std::uint64_t>;
+  const Histogram width6{
+      {0, 4},   {1, 1},   {2, 8},   {3, 1},   {4, 2},   {5, 12},  {6, 1},
+      {7, 1},   {8, 1},   {9, 2},   {10, 4},  {16, 8},  {17, 2},  {18, 17},
+      {19, 2},  {21, 36}, {23, 1},  {25, 1},  {26, 1},  {29, 2},  {32, 2},
+      {33, 11}, {34, 4},  {35, 1},  {36, 2},  {37, 32}, {39, 1},  {40, 12},
+      {41, 27}, {42, 43}, {43, 2},  {44, 1},  {45, 1},  {48, 1},  {49, 1},
+      {50, 1},  {53, 5},  {56, 1},  {58, 1}};
+  const Histogram width8{
+      {1, 3},    {2, 3},    {4, 1},    {5, 2},    {8, 2},    {9, 1},
+      {10, 4},   {16, 2},   {17, 1},   {21, 9},   {23, 2},   {26, 1},
+      {40, 1},   {42, 1},   {46, 1},   {60, 1},   {65, 3},   {66, 4},
+      {69, 1},   {72, 1},   {73, 3},   {74, 5},   {75, 2},   {77, 1},
+      {80, 5},   {81, 1},   {82, 5},   {84, 1},   {85, 24},  {87, 1},
+      {98, 1},   {117, 2},  {128, 2},  {129, 1},  {130, 1},  {131, 1},
+      {132, 1},  {133, 10}, {137, 4},  {138, 4},  {141, 1},  {144, 3},
+      {145, 1},  {146, 10}, {147, 1},  {149, 22}, {150, 1},  {153, 1},
+      {154, 1},  {161, 5},  {163, 1},  {165, 21}, {168, 14}, {169, 12},
+      {170, 23}, {173, 1},  {174, 1},  {177, 1},  {178, 1},  {181, 2},
+      {185, 3},  {186, 1},  {193, 1},  {197, 1},  {208, 1},  {210, 1},
+      {213, 1},  {225, 1},  {229, 2},  {234, 2}};
+  for (const auto& [width, expected] :
+       {std::pair{6, width6}, std::pair{8, width8}}) {
+    Rng device_rng(7);
+    DeviceModel device = device::make_iqm20(device_rng);
+    const auto c = chain_workload(device, 8, width);
+    Rng rng(42);
+    const auto counts =
+        device.execute(c, 256, rng, ExecutionMode::kTrajectory).counts;
+    EXPECT_EQ(counts.total_shots(), 256u);
+    EXPECT_EQ(counts.raw(), expected) << "width " << width;
+  }
 }
 
 TEST(TrajectoryEngine, CallerStreamAdvancesIdenticallyForAnyThreadCount) {
