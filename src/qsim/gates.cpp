@@ -8,6 +8,10 @@ namespace {
 constexpr Complex kOne{1.0, 0.0};
 constexpr Complex kZero{0.0, 0.0};
 constexpr Complex kImag{0.0, 1.0};
+/// r e^{i angle} for r of either sign; std::polar requires r >= 0.
+Complex signed_polar(double r, double angle) {
+  return {r * std::cos(angle), r * std::sin(angle)};
+}
 }  // namespace
 
 Matrix2 matmul(const Matrix2& a, const Matrix2& b) {
@@ -123,8 +127,8 @@ Matrix2 gate_rz(double theta) {
 Matrix2 gate_u(double theta, double phi, double lambda) {
   const double c = std::cos(theta / 2.0);
   const double s = std::sin(theta / 2.0);
-  return {Complex{c, 0}, -std::polar(s, lambda), std::polar(s, phi),
-          std::polar(c, phi + lambda)};
+  return {Complex{c, 0}, -signed_polar(s, lambda), signed_polar(s, phi),
+          signed_polar(c, phi + lambda)};
 }
 
 Matrix2 gate_prx(double theta, double phi) {
@@ -132,8 +136,8 @@ Matrix2 gate_prx(double theta, double phi) {
   const double s = std::sin(theta / 2.0);
   // RZ(phi) RX(theta) RZ(-phi) up to global phase:
   // [[cos, -i e^{-i phi} sin], [-i e^{i phi} sin, cos]]
-  return {Complex{c, 0}, -kImag * std::polar(s, -phi),
-          -kImag * std::polar(s, phi), Complex{c, 0}};
+  return {Complex{c, 0}, -kImag * signed_polar(s, -phi),
+          -kImag * signed_polar(s, phi), Complex{c, 0}};
 }
 
 Matrix4 gate_cz() {

@@ -99,35 +99,16 @@ RestoreSummary Qrm::restore_durable(const QrmDurableState& state) {
     summary.requeued_in_flight += 1;
   }
 
-  // Metrics: terminal counters are audit state, recomputed from the
-  // records; throughput counters (shots, busy time, retries) restart at
-  // zero — they are observability, not audit, and the report layer treats
-  // them as per-incarnation.
-  std::size_t completed = 0, failed = 0, cancelled = 0, rejected_overload = 0,
-              rejected_too_wide = 0, shed = 0, migrated = 0;
-  for (const auto& [id, record] : records_) {
-    switch (record.state) {
-      case QuantumJobState::kCompleted: completed += 1; break;
-      case QuantumJobState::kFailed: failed += 1; break;
-      case QuantumJobState::kCancelled: cancelled += 1; break;
-      case QuantumJobState::kRejectedOverload: rejected_overload += 1; break;
-      case QuantumJobState::kRejectedTooWide: rejected_too_wide += 1; break;
-      case QuantumJobState::kShed: shed += 1; break;
-      case QuantumJobState::kMigrated: migrated += 1; break;
-      case QuantumJobState::kQueued:
-      case QuantumJobState::kRunning:
-      case QuantumJobState::kRetrying:
-        break;
-    }
-  }
+  // The ledger is tallied once from the restored records. Terminal counters
+  // are audit state and restart from it; throughput counters (shots, busy
+  // time, retries) restart at zero — they are observability, not audit,
+  // and the report layer treats them as per-incarnation.
+  for (const auto& [id, record] : records_)
+    ledger_[static_cast<std::size_t>(record.state)] += 1;
   m_submitted_->inc(static_cast<double>(records_.size()));
-  m_completed_->inc(static_cast<double>(completed));
-  m_failed_->inc(static_cast<double>(failed));
-  m_cancelled_->inc(static_cast<double>(cancelled));
-  m_rejected_overload_->inc(static_cast<double>(rejected_overload));
-  m_rejected_too_wide_->inc(static_cast<double>(rejected_too_wide));
-  m_shed_->inc(static_cast<double>(shed));
-  m_migrated_out_->inc(static_cast<double>(migrated));
+  for (std::size_t s = 0; s < kStates; ++s)
+    if (is_terminal(static_cast<QuantumJobState>(s)))
+      m_entered_[s]->inc(static_cast<double>(ledger_[s]));
   note_queue_gauge();
 
   // Fresh spans for surviving work (attach the tracer *before* restoring):

@@ -1,10 +1,12 @@
 #pragma once
 
+#include <array>
 #include <functional>
 #include <map>
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "hpcqc/calibration/benchmark.hpp"
@@ -247,8 +249,9 @@ struct QrmMetrics {
 };
 
 /// Audit that no submitted job was silently lost: every id is in exactly one
-/// state, and after a drain every state is terminal. Computed from the job
-/// records, then cross-checked against the metrics counters by tests.
+/// state, and after a drain every state is terminal. Read from the per-state
+/// ledger that every job-state change moves; tests cross-check it against a
+/// walk over the job records.
 struct JobConservation {
   std::size_t submitted = 0;
   std::size_t completed = 0;
@@ -357,7 +360,8 @@ public:
   /// True while brownout shedding is active.
   bool brownout() const { return brownout_; }
 
-  /// Conservation audit over all job records (see JobConservation).
+  /// Conservation audit (see JobConservation). O(1): it reads the per-state
+  /// ledger, so it is cheap enough to sample every telemetry step.
   JobConservation conservation() const;
 
   /// Cancels a job that has not started (queued or awaiting retry).
@@ -540,6 +544,19 @@ private:
     std::size_t held_scans = 0;   ///< scheduler passes that skipped the job
   };
 
+  static constexpr std::size_t kStates =
+      static_cast<std::size_t>(QuantumJobState::kMigrated) + 1;
+
+  /// The only code that changes a job's state. Stamps the record (end_time
+  /// on terminal states, next_retry_at cleared on leaving kRetrying,
+  /// failure_reason when `reason` is given), moves the ledger, then
+  /// journals, counts, closes spans and logs the edge as the edge table in
+  /// qrm.cpp says. Callers set their own record fields and place the job in
+  /// its queue first.
+  void transition(int id, QuantumJobState to, std::string_view reason = {});
+  /// Takes a queued or retry-backlog job out of its queue; false when the
+  /// job is unknown, running or terminal.
+  bool leave_pending(int id);
   void finish_phase(Rng& rng);
   void begin_next_work();
   void apply_drift_until(Seconds t);
@@ -552,14 +569,11 @@ private:
   void track_dequeue(int id, bool retry);
   TenantState* tenant_state(const std::string& project);
   void push_dead_letter(const QuantumJobRecord& record, QuantumJob job);
-  int reject(QuantumJobRecord record, QuantumJobState state,
-             const std::string& reason);
   void update_brownout();
   void shed_low_priority();
   TokenBucket& bucket(JobPriority priority);
   void bind_metrics();
   void open_queue_span(int id, const char* why);
-  void close_root(int id, obs::SpanStatus status);
   void note_queue_gauge();
   /// Stamps device tag + simulated time and forwards to the journal sink
   /// (no-op without one).
@@ -603,6 +617,8 @@ private:
   std::vector<int> queue_;
   std::vector<int> retry_queue_;  ///< ids waiting out next_retry_at
   std::map<int, QuantumJobRecord> records_;
+  /// Records per state, indexed by QuantumJobState: the conservation ledger.
+  std::array<std::size_t, kStates> ledger_{};
   std::map<int, QuantumJob> pending_jobs_;
   std::vector<DeadLetterRecord> dead_letters_;
 
@@ -621,18 +637,13 @@ private:
   // Bound once at construction (registry references are stable), so hot
   // paths increment through pointers instead of name lookups.
   obs::Counter* m_submitted_ = nullptr;
-  obs::Counter* m_completed_ = nullptr;
-  obs::Counter* m_failed_ = nullptr;
-  obs::Counter* m_cancelled_ = nullptr;
-  obs::Counter* m_retries_ = nullptr;
+  /// Bumped when a job enters a state, indexed by QuantumJobState (null
+  /// for kQueued and kRunning).
+  std::array<obs::Counter*, kStates> m_entered_{};
   obs::Counter* m_execution_faults_ = nullptr;
   obs::Counter* m_calibrations_failed_ = nullptr;
-  obs::Counter* m_rejected_overload_ = nullptr;
-  obs::Counter* m_rejected_too_wide_ = nullptr;
-  obs::Counter* m_shed_ = nullptr;
   obs::Counter* m_degraded_holds_ = nullptr;
   obs::Counter* m_dead_letters_dropped_ = nullptr;
-  obs::Counter* m_migrated_out_ = nullptr;
   obs::Counter* m_migrated_in_ = nullptr;
   obs::Counter* m_dead_letters_drained_ = nullptr;
   obs::Counter* m_total_shots_ = nullptr;

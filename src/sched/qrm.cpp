@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
+#include <optional>
 
 #include "hpcqc/common/error.hpp"
 #include "hpcqc/mqss/service.hpp"
@@ -119,6 +121,56 @@ struct BatchEventObserver final : device::ExecObserver {
   }
 };
 
+/// What a job-state edge does besides moving the record: its journal event,
+/// the counter it bumps, the event and status of the stage span it closes,
+/// how it ends the root span, the flight-recorder label of its post-mortem
+/// and the level of its log line.
+struct Edge {
+  JobEvent::Kind event;
+  const char* counter;          ///< nullptr: none
+  const char* stage_event;      ///< nullptr: the stage closes silently
+  obs::SpanStatus stage_status;
+  obs::SpanStatus root_status;  ///< kUnset: the root stays open
+  const char* flight;           ///< nullptr: no post-mortem
+  std::optional<LogLevel> log;  ///< nullopt: no log line
+};
+
+using Kind = JobEvent::Kind;
+using Status = obs::SpanStatus;
+
+/// Indexed by the target state, in QuantumJobState order.
+constexpr Edge kEdges[] = {
+    // kQueued: a retry's backoff ended; it re-enters at the queue head.
+    {Kind::kRetryRequeued, nullptr, nullptr, Status::kOk, Status::kUnset,
+     nullptr, std::nullopt},
+    {Kind::kDispatched, nullptr, nullptr, Status::kOk, Status::kUnset, nullptr,
+     std::nullopt},
+    {Kind::kCompleted, "qrm.jobs_completed", nullptr, Status::kOk, Status::kOk,
+     nullptr, LogLevel::kDebug},
+    {Kind::kRetrying, "qrm.retries", nullptr, Status::kError, Status::kUnset,
+     nullptr, LogLevel::kWarning},
+    {Kind::kDeadLettered, "qrm.jobs_failed", "dead-lettered", Status::kError,
+     Status::kError, "dead-letter", LogLevel::kError},
+    // A cancellation is a user decision, not a failure worth a post-mortem.
+    {Kind::kCancelled, "qrm.jobs_cancelled", "cancelled", Status::kOk,
+     Status::kError, nullptr, LogLevel::kInfo},
+    {Kind::kRejected, "qrm.jobs_rejected_overload", "refused", Status::kError,
+     Status::kError, "rejected-overload", LogLevel::kWarning},
+    {Kind::kRejected, "qrm.jobs_rejected_too_wide", "refused", Status::kError,
+     Status::kError, "rejected-too-wide", LogLevel::kWarning},
+    {Kind::kShed, "qrm.jobs_shed", "shed", Status::kError, Status::kError,
+     "shed", LogLevel::kWarning},
+    // Migration ends this device's tree cleanly: the job is moving, not
+    // failing; the destination opens its own root under the client context.
+    {Kind::kMigratedOut, "qrm.jobs_migrated_out", "migrated", Status::kOk,
+     Status::kOk, nullptr, LogLevel::kInfo},
+};
+
+/// kRunning -> kQueued: an outage aborted the attempt.
+constexpr Edge kOutageRequeue{Kind::kInterrupted, nullptr, "interrupted",
+                              Status::kError, Status::kUnset, nullptr,
+                              LogLevel::kWarning};
+
 }  // namespace
 
 int circuit_width(const circuit::Circuit& circuit) {
@@ -181,19 +233,15 @@ void Qrm::emit(JobEvent event) {
 }
 
 void Qrm::bind_metrics() {
+  static_assert(std::size(kEdges) == kStates);
   m_submitted_ = &registry_->counter("qrm.jobs_submitted");
-  m_completed_ = &registry_->counter("qrm.jobs_completed");
-  m_failed_ = &registry_->counter("qrm.jobs_failed");
-  m_cancelled_ = &registry_->counter("qrm.jobs_cancelled");
-  m_retries_ = &registry_->counter("qrm.retries");
+  for (std::size_t s = 0; s < kStates; ++s)
+    if (kEdges[s].counter != nullptr)
+      m_entered_[s] = &registry_->counter(kEdges[s].counter);
   m_execution_faults_ = &registry_->counter("qrm.execution_faults");
   m_calibrations_failed_ = &registry_->counter("qrm.calibrations_failed");
-  m_rejected_overload_ = &registry_->counter("qrm.jobs_rejected_overload");
-  m_rejected_too_wide_ = &registry_->counter("qrm.jobs_rejected_too_wide");
-  m_shed_ = &registry_->counter("qrm.jobs_shed");
   m_degraded_holds_ = &registry_->counter("qrm.degraded_holds");
   m_dead_letters_dropped_ = &registry_->counter("qrm.dead_letters_dropped");
-  m_migrated_out_ = &registry_->counter("qrm.jobs_migrated_out");
   m_migrated_in_ = &registry_->counter("qrm.jobs_migrated_in");
   m_dead_letters_drained_ = &registry_->counter("qrm.dead_letters_drained");
   m_total_shots_ = &registry_->counter("qrm.total_shots");
@@ -222,12 +270,71 @@ void Qrm::open_queue_span(int id, const char* why) {
   tracer_->set_attribute(spans.queue, "reason", why);
 }
 
-void Qrm::close_root(int id, obs::SpanStatus status) {
-  if (tracer_ == nullptr) return;
-  const auto it = job_spans_.find(id);
-  if (it == job_spans_.end()) return;
-  tracer_->end_span(it->second.root, now_, status);
-  job_spans_.erase(it);
+void Qrm::transition(int id, QuantumJobState to, std::string_view reason) {
+  QuantumJobRecord& record = records_.at(id);
+  const QuantumJobState from = record.state;
+  const auto index = static_cast<std::size_t>(to);
+  const Edge& edge =
+      from == QuantumJobState::kRunning && to == QuantumJobState::kQueued
+          ? kOutageRequeue
+          : kEdges[index];
+  ledger_[static_cast<std::size_t>(from)] -= 1;
+  ledger_[index] += 1;
+  record.state = to;
+  if (is_terminal(to)) record.end_time = now_;
+  if (from == QuantumJobState::kRetrying) record.next_retry_at = -1.0;
+  if (!reason.empty()) record.failure_reason = reason;
+
+  if (journal_ != nullptr) {
+    JobEvent event;
+    event.kind = edge.event;
+    event.id = id;
+    event.record = &record;
+    event.reason = reason;
+    emit(event);
+  }
+  if (edge.counter != nullptr) m_entered_[index]->inc();
+  if (tracer_ != nullptr) {
+    const auto it = job_spans_.find(id);
+    if (it != job_spans_.end()) {
+      JobSpans& spans = it->second;
+      // Innermost first, so an aborted attempt's event lands on execute.
+      const char* stage_event = edge.stage_event;
+      for (obs::SpanHandle* stage : {&spans.execute, &spans.attempt,
+                                     &spans.queue, &spans.backoff,
+                                     &spans.admission}) {
+        if (*stage == obs::kNoSpan) continue;
+        if (stage_event != nullptr)
+          tracer_->add_event(*stage, now_, stage_event, std::string(reason));
+        stage_event = nullptr;
+        tracer_->end_span(*stage, now_, edge.stage_status);
+        *stage = obs::kNoSpan;
+      }
+      if (edge.root_status != Status::kUnset) {
+        tracer_->end_span(spans.root, now_, edge.root_status);
+        job_spans_.erase(it);
+      }
+    }
+    if (edge.flight != nullptr)
+      tracer_->record_failure(
+          record.trace.trace_id,
+          std::string(edge.flight) + ": " + std::string(reason), now_);
+  }
+  if (log_ != nullptr && edge.log.has_value()) {
+    std::string message = "job '" + record.name + "' " + to_string(to);
+    if (!reason.empty()) message.append(": ").append(reason);
+    log_->log(now_, *edge.log, "qrm", std::move(message));
+  }
+}
+
+bool Qrm::leave_pending(int id) {
+  const auto it = records_.find(id);
+  if (it == records_.end()) return false;
+  const bool retry = it->second.state == QuantumJobState::kRetrying;
+  if (!retry && it->second.state != QuantumJobState::kQueued) return false;
+  track_dequeue(id, retry);
+  std::erase(retry ? retry_queue_ : queue_, id);
+  return true;
 }
 
 Qrm::TokenBucket& Qrm::bucket(JobPriority priority) {
@@ -313,64 +420,22 @@ Qrm::AdmissionProbe Qrm::probe_admission(int width,
 }
 
 JobConservation Qrm::conservation() const {
+  const auto count = [this](QuantumJobState state) {
+    return ledger_[static_cast<std::size_t>(state)];
+  };
   JobConservation audit;
   audit.submitted = records_.size();
-  for (const auto& [id, record] : records_) {
-    switch (record.state) {
-      case QuantumJobState::kCompleted: audit.completed += 1; break;
-      case QuantumJobState::kFailed: audit.failed += 1; break;
-      case QuantumJobState::kCancelled: audit.cancelled += 1; break;
-      case QuantumJobState::kRejectedOverload:
-        audit.rejected_overload += 1;
-        break;
-      case QuantumJobState::kRejectedTooWide:
-        audit.rejected_too_wide += 1;
-        break;
-      case QuantumJobState::kShed: audit.shed += 1; break;
-      case QuantumJobState::kMigrated: audit.migrated += 1; break;
-      case QuantumJobState::kQueued:
-      case QuantumJobState::kRunning:
-      case QuantumJobState::kRetrying:
-        audit.in_flight += 1;
-        break;
-    }
-  }
+  audit.completed = count(QuantumJobState::kCompleted);
+  audit.failed = count(QuantumJobState::kFailed);
+  audit.cancelled = count(QuantumJobState::kCancelled);
+  audit.rejected_overload = count(QuantumJobState::kRejectedOverload);
+  audit.rejected_too_wide = count(QuantumJobState::kRejectedTooWide);
+  audit.shed = count(QuantumJobState::kShed);
+  audit.migrated = count(QuantumJobState::kMigrated);
+  audit.in_flight = count(QuantumJobState::kQueued) +
+                    count(QuantumJobState::kRunning) +
+                    count(QuantumJobState::kRetrying);
   return audit;
-}
-
-int Qrm::reject(QuantumJobRecord record, QuantumJobState state,
-                const std::string& reason) {
-  record.state = state;
-  record.end_time = now_;
-  record.failure_reason = reason;
-  if (journal_ != nullptr) {
-    JobEvent event;
-    event.kind = JobEvent::Kind::kRejected;
-    event.id = record.id;
-    event.record = &record;
-    event.reason = reason;
-    emit(event);
-  }
-  if (state == QuantumJobState::kRejectedOverload)
-    m_rejected_overload_->inc();
-  else
-    m_rejected_too_wide_->inc();
-  if (log_)
-    log_->warning(now_, "qrm",
-                  "job '" + record.name + "' " + to_string(state) + ": " +
-                      reason);
-  const int id = record.id;
-  if (tracer_ != nullptr) {
-    const JobSpans& spans = job_spans_.at(id);
-    tracer_->add_event(spans.admission, now_, "refused", reason);
-    tracer_->end_span(spans.admission, now_, obs::SpanStatus::kError);
-    close_root(id, obs::SpanStatus::kError);
-    tracer_->record_failure(record.trace.trace_id,
-                            std::string(to_string(state)) + ": " + reason,
-                            now_);
-  }
-  records_.emplace(id, std::move(record));
-  return id;
 }
 
 void Qrm::shed_low_priority() {
@@ -378,32 +443,9 @@ void Qrm::shed_low_priority() {
   for (const int id : queue_)
     if (records_.at(id).priority == JobPriority::kLow) victims.push_back(id);
   for (const int id : victims) {
-    track_dequeue(id, /*retry=*/false);
-    std::erase(queue_, id);
-    auto& record = records_.at(id);
-    record.state = QuantumJobState::kShed;
-    record.end_time = now_;
-    record.failure_reason = "shed by brownout (overloaded queue)";
+    leave_pending(id);
     pending_jobs_.erase(id);
-    if (journal_ != nullptr) {
-      JobEvent event;
-      event.kind = JobEvent::Kind::kShed;
-      event.id = id;
-      event.record = &record;
-      event.reason = record.failure_reason;
-      emit(event);
-    }
-    m_shed_->inc();
-    if (tracer_ != nullptr) {
-      const JobSpans& spans = job_spans_.at(id);
-      tracer_->add_event(spans.queue, now_, "shed",
-                         "brownout shed low-priority job");
-      tracer_->end_span(spans.queue, now_, obs::SpanStatus::kError);
-      close_root(id, obs::SpanStatus::kError);
-      tracer_->record_failure(record.trace.trace_id, "shed: brownout", now_);
-    }
-    if (log_)
-      log_->warning(now_, "qrm", "job '" + record.name + "' shed (brownout)");
+    transition(id, QuantumJobState::kShed, "brownout");
   }
   note_queue_gauge();
 }
@@ -497,6 +539,14 @@ int Qrm::submit(QuantumJob job) {
     event.record = &record;
     emit(event);
   }
+  const int id = record.id;
+  records_.emplace(id, std::move(record));
+  ledger_[static_cast<std::size_t>(QuantumJobState::kQueued)] += 1;
+  const auto reject = [&](QuantumJobState state, const std::string& reason) {
+    if (tenant != nullptr) tenant->rejected->inc();
+    transition(id, state, reason);
+    return id;
+  };
 
   // Degraded capability check: a job wider than the largest healthy
   // connected component can never run until repairs land, so refuse it now
@@ -505,13 +555,11 @@ int Qrm::submit(QuantumJob job) {
     const int width = circuit_width(job.circuit);
     const int capacity = static_cast<int>(
         device_->health().largest_component(device_->topology()).size());
-    if (width > capacity) {
-      if (tenant != nullptr) tenant->rejected->inc();
-      return reject(std::move(record), QuantumJobState::kRejectedTooWide,
+    if (width > capacity)
+      return reject(QuantumJobState::kRejectedTooWide,
                     "needs " + std::to_string(width) +
                         " qubits; largest healthy component has " +
                         std::to_string(capacity));
-    }
   }
 
   // Overload control: brownout class suspension, hard queue cap, tenant
@@ -519,62 +567,51 @@ int Qrm::submit(QuantumJob job) {
   // job was rate-controlled once at its fleet-wide admission, so only the
   // capacity cap applies to it.
   update_brownout();
-  if (!job.migrated_in && brownout_ && job.priority == JobPriority::kLow) {
-    if (tenant != nullptr) tenant->rejected->inc();
-    return reject(std::move(record), QuantumJobState::kRejectedOverload,
+  if (!job.migrated_in && brownout_ && job.priority == JobPriority::kLow)
+    return reject(QuantumJobState::kRejectedOverload,
                   "brownout: low-priority admissions suspended");
-  }
-  if (queue_.size() >= config_.admission.queue_capacity) {
-    if (tenant != nullptr) tenant->rejected->inc();
-    return reject(std::move(record), QuantumJobState::kRejectedOverload,
+  if (queue_.size() >= config_.admission.queue_capacity)
+    return reject(QuantumJobState::kRejectedOverload,
                   "queue full (" +
                       std::to_string(config_.admission.queue_capacity) +
                       " jobs)");
-  }
   if (tenant != nullptr && !job.migrated_in &&
       config_.admission.max_tenant_queue_share < 1.0) {
     const auto cap = static_cast<std::size_t>(std::ceil(
         config_.admission.max_tenant_queue_share *
         static_cast<double>(config_.admission.queue_capacity)));
-    if (tenant->pending >= cap) {
-      tenant->rejected->inc();
-      return reject(std::move(record), QuantumJobState::kRejectedOverload,
+    if (tenant->pending >= cap)
+      return reject(QuantumJobState::kRejectedOverload,
                     "tenant '" + job.project + "' exceeds its fair share (" +
                         std::to_string(cap) + " pending jobs)");
-    }
   }
   if (tenant != nullptr && !job.migrated_in &&
       config_.admission.tenant_rate_per_hour > 0.0) {
-    if (!tenant->bucket.try_take(now_)) {
-      tenant->rejected->inc();
-      return reject(std::move(record), QuantumJobState::kRejectedOverload,
+    if (!tenant->bucket.try_take(now_))
+      return reject(QuantumJobState::kRejectedOverload,
                     "tenant '" + job.project + "' admission rate exceeded");
-    }
     if (journal_ != nullptr) {
       JobEvent event;
       event.kind = JobEvent::Kind::kTenantDelta;
-      event.id = record.id;
+      event.id = id;
       event.project = job.project;
       event.bucket_tokens = tenant->bucket.tokens;
       event.bucket_refill = tenant->bucket.last_refill;
       emit(event);
     }
   }
-  if (!job.migrated_in && !bucket(job.priority).try_take(now_)) {
-    if (tenant != nullptr) tenant->rejected->inc();
-    return reject(std::move(record), QuantumJobState::kRejectedOverload,
+  if (!job.migrated_in && !bucket(job.priority).try_take(now_))
+    return reject(QuantumJobState::kRejectedOverload,
                   std::string("admission rate exceeded for ") +
                       to_string(job.priority) + " priority");
-  }
   if (job.migrated_in) m_migrated_in_->inc();
   if (tenant != nullptr) tenant->admitted->inc();
 
-  const int id = record.id;
   if (tracer_ != nullptr) {
-    tracer_->end_span(job_spans_.at(id).admission, now_,
-                      obs::SpanStatus::kOk);
+    JobSpans& spans = job_spans_.at(id);
+    tracer_->end_span(spans.admission, now_, obs::SpanStatus::kOk);
+    spans.admission = obs::kNoSpan;
   }
-  records_.emplace(id, std::move(record));
   pending_jobs_.emplace(id, std::move(job));
   queue_.push_back(id);
   track_enqueue(id, /*retry=*/false);
@@ -617,45 +654,11 @@ std::vector<int> Qrm::submit_batch(std::vector<QuantumJob> jobs) {
 }
 
 bool Qrm::cancel(int id, const std::string& reason) {
-  const auto it = records_.find(id);
-  if (it == records_.end())
-    throw NotFoundError("Qrm: unknown job id " + std::to_string(id));
-  QuantumJobRecord& record = it->second;
-  if (record.state != QuantumJobState::kQueued &&
-      record.state != QuantumJobState::kRetrying)
-    return false;
-  track_dequeue(id, record.state == QuantumJobState::kRetrying);
-  std::erase(queue_, id);
-  std::erase(retry_queue_, id);
-  record.state = QuantumJobState::kCancelled;
-  record.failure_reason = reason;
-  record.end_time = now_;
-  record.next_retry_at = -1.0;
+  record(id);  // NotFoundError for an unknown id
+  if (!leave_pending(id)) return false;
   pending_jobs_.erase(id);
-  if (journal_ != nullptr) {
-    JobEvent event;
-    event.kind = JobEvent::Kind::kCancelled;
-    event.id = id;
-    event.record = &record;
-    event.reason = reason;
-    emit(event);
-  }
-  m_cancelled_->inc();
+  transition(id, QuantumJobState::kCancelled, reason);
   note_queue_gauge();
-  if (tracer_ != nullptr) {
-    // A cancellation ends the tree without a post-mortem: it is a user
-    // decision, not a failure worth a flight-recorder dump.
-    JobSpans& spans = job_spans_.at(id);
-    const obs::SpanHandle stage =
-        spans.queue != obs::kNoSpan ? spans.queue : spans.backoff;
-    if (stage != obs::kNoSpan) {
-      tracer_->add_event(stage, now_, "cancelled", reason);
-      tracer_->end_span(stage, now_, obs::SpanStatus::kOk);
-    }
-    close_root(id, obs::SpanStatus::kError);
-  }
-  if (log_)
-    log_->info(now_, "qrm", "job '" + record.name + "' cancelled: " + reason);
   return true;
 }
 
@@ -669,51 +672,13 @@ const QuantumJob& Qrm::pending_job(int id) const {
 
 std::optional<Qrm::MigratedJob> Qrm::extract_job(int id,
                                                  const std::string& reason) {
-  const auto it = records_.find(id);
-  if (it == records_.end()) return std::nullopt;
-  QuantumJobRecord& record = it->second;
-  if (record.state != QuantumJobState::kQueued &&
-      record.state != QuantumJobState::kRetrying)
-    return std::nullopt;
-  track_dequeue(id, record.state == QuantumJobState::kRetrying);
-  std::erase(queue_, id);
-  std::erase(retry_queue_, id);
-  MigratedJob out;
-  out.id = id;
-  out.job = std::move(pending_jobs_.at(id));
+  if (!leave_pending(id)) return std::nullopt;
+  MigratedJob out{id, std::move(pending_jobs_.at(id))};
   pending_jobs_.erase(id);
-  record.state = QuantumJobState::kMigrated;
-  record.end_time = now_;
-  record.next_retry_at = -1.0;
-  record.failure_reason = "migrated: " + reason;
   out.job.migrations += 1;
   out.job.migrated_in = true;
-  if (journal_ != nullptr) {
-    JobEvent event;
-    event.kind = JobEvent::Kind::kMigratedOut;
-    event.id = id;
-    event.record = &record;
-    event.reason = reason;
-    emit(event);
-  }
-  m_migrated_out_->inc();
+  transition(id, QuantumJobState::kMigrated, reason);
   note_queue_gauge();
-  if (tracer_ != nullptr) {
-    // Migration ends this device's span tree cleanly — the job is not
-    // failing, it is moving; the destination opens its own root under the
-    // same client context.
-    JobSpans& spans = job_spans_.at(id);
-    const obs::SpanHandle stage =
-        spans.queue != obs::kNoSpan ? spans.queue : spans.backoff;
-    if (stage != obs::kNoSpan) {
-      tracer_->add_event(stage, now_, "migrated", reason);
-      tracer_->end_span(stage, now_, obs::SpanStatus::kOk);
-    }
-    close_root(id, obs::SpanStatus::kOk);
-  }
-  if (log_)
-    log_->info(now_, "qrm",
-               "job '" + record.name + "' migrated out: " + reason);
   return out;
 }
 
@@ -755,46 +720,12 @@ void Qrm::push_dead_letter(const QuantumJobRecord& record, QuantumJob job) {
 }
 
 bool Qrm::dead_letter_job(int id, const std::string& reason) {
-  const auto it = records_.find(id);
-  if (it == records_.end()) return false;
-  QuantumJobRecord& record = it->second;
-  if (record.state != QuantumJobState::kQueued &&
-      record.state != QuantumJobState::kRetrying)
-    return false;
-  track_dequeue(id, record.state == QuantumJobState::kRetrying);
-  std::erase(queue_, id);
-  std::erase(retry_queue_, id);
-  record.state = QuantumJobState::kFailed;
-  record.end_time = now_;
-  record.next_retry_at = -1.0;
-  record.failure_reason = reason;
-  if (journal_ != nullptr) {
-    JobEvent event;
-    event.kind = JobEvent::Kind::kDeadLettered;
-    event.id = id;
-    event.record = &record;
-    event.reason = reason;
-    emit(event);
-  }
-  push_dead_letter(record, std::move(pending_jobs_.at(id)));
+  if (!leave_pending(id)) return false;
+  // kDeadLettered is journaled ahead of any kDlqDropped the push causes.
+  transition(id, QuantumJobState::kFailed, reason);
+  push_dead_letter(records_.at(id), std::move(pending_jobs_.at(id)));
   pending_jobs_.erase(id);
-  m_failed_->inc();
   note_queue_gauge();
-  if (tracer_ != nullptr) {
-    JobSpans& spans = job_spans_.at(id);
-    const obs::SpanHandle stage =
-        spans.queue != obs::kNoSpan ? spans.queue : spans.backoff;
-    if (stage != obs::kNoSpan) {
-      tracer_->add_event(stage, now_, "dead-lettered", reason);
-      tracer_->end_span(stage, now_, obs::SpanStatus::kError);
-    }
-    close_root(id, obs::SpanStatus::kError);
-    tracer_->record_failure(record.trace.trace_id, "dead-letter: " + reason,
-                            now_);
-  }
-  if (log_)
-    log_->error(now_, "qrm",
-                "job '" + record.name + "' dead-lettered: " + reason);
   return true;
 }
 
@@ -829,36 +760,15 @@ void Qrm::set_offline(const std::string& reason) {
   // facility's fault, not the job's.
   if (phase_ == Phase::kJob && active_job_ >= 0) {
     auto& record = records_.at(active_job_);
-    record.state = QuantumJobState::kQueued;
     record.start_time = -1.0;
-    record.end_time = -1.0;
     if (record.attempts > 0) record.attempts -= 1;
     record.interruptions += 1;
-    record.failure_reason = "interrupted by outage: " + reason;
     queue_.insert(queue_.begin(), active_job_);
     track_enqueue(active_job_, /*retry=*/false);
-    if (journal_ != nullptr) {
-      JobEvent event;
-      event.kind = JobEvent::Kind::kInterrupted;
-      event.id = active_job_;
-      event.record = &record;
-      event.reason = reason;
-      emit(event);
-    }
+    transition(active_job_, QuantumJobState::kQueued,
+               "interrupted by outage: " + reason);
+    open_queue_span(active_job_, "requeued after outage");
     note_queue_gauge();
-    if (tracer_ != nullptr) {
-      JobSpans& spans = job_spans_.at(active_job_);
-      tracer_->add_event(spans.execute, now_, "interrupted",
-                         "outage: " + reason);
-      tracer_->end_span(spans.execute, now_, obs::SpanStatus::kError);
-      tracer_->end_span(spans.attempt, now_, obs::SpanStatus::kError);
-      spans.execute = obs::kNoSpan;
-      spans.attempt = obs::kNoSpan;
-      open_queue_span(active_job_, "requeued after outage");
-    }
-    if (log_)
-      log_->warning(now_, "qrm",
-                    "job '" + record.name + "' requeued (outage mid-run)");
   }
   // A recovery/forced calibration that was interrupted must not be lost:
   // re-arm it so it runs first when the QPU returns to service.
@@ -919,30 +829,17 @@ void Qrm::promote_due_retries() {
   for (const int id : retry_queue_)
     if (records_.at(id).next_retry_at <= now_) due.push_back(id);
   if (due.empty()) return;
-  for (auto it = due.rbegin(); it != due.rend(); ++it) {
-    queue_.insert(queue_.begin(), *it);
-    // Emitted per insertion (reverse order) so a replay that applies
-    // "insert at head" per event reproduces the final queue order exactly.
-    if (journal_ != nullptr) {
-      JobEvent event;
-      event.kind = JobEvent::Kind::kRetryRequeued;
-      event.id = *it;
-      emit(event);
-    }
-  }
   for (const int id : due) {
     track_dequeue(id, /*retry=*/true);
     track_enqueue(id, /*retry=*/false);
     std::erase(retry_queue_, id);
-    auto& record = records_.at(id);
-    record.state = QuantumJobState::kQueued;
-    record.next_retry_at = -1.0;
-    if (tracer_ != nullptr) {
-      JobSpans& spans = job_spans_.at(id);
-      tracer_->end_span(spans.backoff, now_, obs::SpanStatus::kOk);
-      spans.backoff = obs::kNoSpan;
-      open_queue_span(id, "retry requeued");
-    }
+  }
+  // One transition per head insertion, in reverse, so a replay that applies
+  // "insert at head" per kRetryRequeued event rebuilds the queue order.
+  for (auto it = due.rbegin(); it != due.rend(); ++it) {
+    queue_.insert(queue_.begin(), *it);
+    transition(*it, QuantumJobState::kQueued);
+    open_queue_span(*it, "retry requeued");
   }
   note_queue_gauge();
 }
@@ -968,46 +865,18 @@ void Qrm::fail_active_job() {
   }
 
   if (record.attempts >= config_.retry.max_attempts) {
-    record.state = QuantumJobState::kFailed;
-    record.end_time = now_;
-    record.failure_reason = "execution fault; retry budget exhausted after " +
-                            std::to_string(record.attempts) + " attempts";
-    if (journal_ != nullptr) {
-      JobEvent event;
-      event.kind = JobEvent::Kind::kDeadLettered;
-      event.id = active_job_;
-      event.record = &record;
-      event.reason = record.failure_reason;
-      emit(event);
-    }
+    transition(active_job_, QuantumJobState::kFailed,
+               "execution fault; retry budget exhausted after " +
+                   std::to_string(record.attempts) + " attempts");
     push_dead_letter(record, std::move(pending_jobs_.at(active_job_)));
-    m_failed_->inc();
     pending_jobs_.erase(active_job_);
-    if (tracer_ != nullptr) {
-      close_root(active_job_, obs::SpanStatus::kError);
-      tracer_->record_failure(record.trace.trace_id,
-                              "dead-letter: " + record.failure_reason, now_);
-    }
-    if (log_)
-      log_->error(now_, "qrm",
-                  "job '" + record.name + "' dead-lettered after " +
-                      std::to_string(record.attempts) + " attempts");
   } else {
-    record.state = QuantumJobState::kRetrying;
-    record.failure_reason = "execution fault (attempt " +
-                            std::to_string(record.attempts) + ")";
     record.next_retry_at = now_ + config_.retry.backoff(record.attempts);
     retry_queue_.push_back(active_job_);
     track_enqueue(active_job_, /*retry=*/true);
-    if (journal_ != nullptr) {
-      JobEvent event;
-      event.kind = JobEvent::Kind::kRetrying;
-      event.id = active_job_;
-      event.record = &record;
-      event.reason = record.failure_reason;
-      emit(event);
-    }
-    m_retries_->inc();
+    transition(active_job_, QuantumJobState::kRetrying,
+               "execution fault (attempt " + std::to_string(record.attempts) +
+                   ")");
     if (tracer_ != nullptr) {
       JobSpans& spans = job_spans_.at(active_job_);
       spans.backoff = tracer_->begin_span("retry-backoff", now_,
@@ -1018,11 +887,6 @@ void Qrm::fail_active_job() {
           spans.backoff, "backoff_s",
           std::to_string(record.next_retry_at - now_));
     }
-    if (log_)
-      log_->warning(now_, "qrm",
-                    "job '" + record.name + "' failed attempt " +
-                        std::to_string(record.attempts) + "; retry in " +
-                        std::to_string(record.next_retry_at - now_) + " s");
   }
   active_job_ = -1;
   active_job_faulted_ = false;
@@ -1038,16 +902,11 @@ void Qrm::finish_phase(Rng& rng) {
         break;
       }
       auto& record = records_.at(active_job_);
-      record.state = QuantumJobState::kCompleted;
-      record.end_time = now_;
-      if (journal_ != nullptr) {
-        JobEvent event;
-        event.kind = JobEvent::Kind::kCompleted;
-        event.id = active_job_;
-        event.record = &record;
-        emit(event);
-      }
-      m_completed_->inc();
+      if (tracer_ != nullptr)
+        tracer_->set_attribute(
+            job_spans_.at(active_job_).execute, "estimated_fidelity",
+            std::to_string(record.result.estimated_fidelity));
+      transition(active_job_, QuantumJobState::kCompleted);
       m_total_shots_->inc(static_cast<double>(record.shots));
       m_good_shots_->inc(static_cast<double>(record.shots) *
                          record.result.estimated_fidelity);
@@ -1056,19 +915,6 @@ void Qrm::finish_phase(Rng& rng) {
       m_execute_->observe(busy);
       if (busy > 0.0)
         m_shots_per_s_->observe(static_cast<double>(record.shots) / busy);
-      if (tracer_ != nullptr) {
-        JobSpans& spans = job_spans_.at(active_job_);
-        tracer_->set_attribute(
-            spans.execute, "estimated_fidelity",
-            std::to_string(record.result.estimated_fidelity));
-        tracer_->end_span(spans.execute, now_, obs::SpanStatus::kOk);
-        tracer_->end_span(spans.attempt, now_, obs::SpanStatus::kOk);
-        close_root(active_job_, obs::SpanStatus::kOk);
-      }
-      if (log_)
-        log_->debug(now_, "qrm",
-                    "job '" + record.name + "' completed (est. fidelity " +
-                        std::to_string(record.result.estimated_fidelity) + ")");
       const QuantumJob& job = pending_jobs_.at(active_job_);
       if (accounting_ != nullptr && !job.project.empty())
         accounting_->charge(job.project, record.result.wall_time,
@@ -1283,41 +1129,32 @@ void Qrm::begin_next_work() {
     note_queue_gauge();
     auto& record = records_.at(id);
     const QuantumJob& job = pending_jobs_.at(id);
-    record.state = QuantumJobState::kRunning;
     record.start_time = now_;
     record.attempts += 1;
+    JobSpans* spans = tracer_ != nullptr ? &job_spans_.at(id) : nullptr;
+    if (spans != nullptr && spans->held_scans > 0) {
+      tracer_->set_attribute(spans->queue, "degraded_hold_scans",
+                             std::to_string(spans->held_scans));
+      spans->held = false;
+      spans->held_scans = 0;
+    }
     // Write-ahead of the attempt itself: the journal shows the dispatch
     // before any device side effect, so a crash mid-execution recovers the
     // job as in-flight (requeued at head) rather than silently lost.
-    if (journal_ != nullptr) {
-      JobEvent event;
-      event.kind = JobEvent::Kind::kDispatched;
-      event.id = id;
-      event.record = &record;
-      emit(event);
-    }
+    transition(id, QuantumJobState::kRunning);
     m_queue_wait_->observe(now_ - record.submit_time);
     m_overhead_->observe(config_.job_overhead);
 
     device::ExecObserver* observer = nullptr;
     BatchEventObserver batch_events;
-    if (tracer_ != nullptr) {
-      JobSpans& spans = job_spans_.at(id);
-      if (spans.held_scans > 0) {
-        tracer_->set_attribute(spans.queue, "degraded_hold_scans",
-                               std::to_string(spans.held_scans));
-        spans.held = false;
-        spans.held_scans = 0;
-      }
-      tracer_->end_span(spans.queue, now_, obs::SpanStatus::kOk);
-      spans.queue = obs::kNoSpan;
-      spans.attempt =
+    if (spans != nullptr) {
+      spans->attempt =
           tracer_->begin_span("attempt-" + std::to_string(record.attempts),
-                              now_, tracer_->context(spans.root));
-      spans.execute = tracer_->begin_span("execute", now_,
-                                          tracer_->context(spans.attempt));
+                              now_, tracer_->context(spans->root));
+      spans->execute = tracer_->begin_span("execute", now_,
+                                           tracer_->context(spans->attempt));
       batch_events.tracer = tracer_;
-      batch_events.span = spans.execute;
+      batch_events.span = spans->execute;
       batch_events.base = now_ + config_.job_overhead;
       observer = &batch_events;
     }
@@ -1406,24 +1243,27 @@ const QuantumJobRecord& Qrm::record(int id) const {
 }
 
 QrmMetrics Qrm::metrics() const {
+  const auto entered = [this](QuantumJobState state) {
+    return m_entered_[static_cast<std::size_t>(state)]->count();
+  };
   QrmMetrics metrics;
-  metrics.jobs_completed = m_completed_->count();
+  metrics.jobs_completed = entered(QuantumJobState::kCompleted);
   metrics.total_shots = m_total_shots_->count();
   metrics.good_shots = m_good_shots_->value();
   metrics.busy_time = m_busy_time_->value();
   metrics.calibration_time = m_calibration_time_->value();
   metrics.benchmark_time = m_benchmark_time_->value();
-  metrics.jobs_failed = m_failed_->count();
-  metrics.jobs_cancelled = m_cancelled_->count();
-  metrics.retries = m_retries_->count();
+  metrics.jobs_failed = entered(QuantumJobState::kFailed);
+  metrics.jobs_cancelled = entered(QuantumJobState::kCancelled);
+  metrics.retries = entered(QuantumJobState::kRetrying);
   metrics.execution_faults = m_execution_faults_->count();
   metrics.calibrations_failed = m_calibrations_failed_->count();
-  metrics.jobs_rejected_overload = m_rejected_overload_->count();
-  metrics.jobs_rejected_too_wide = m_rejected_too_wide_->count();
-  metrics.jobs_shed = m_shed_->count();
+  metrics.jobs_rejected_overload = entered(QuantumJobState::kRejectedOverload);
+  metrics.jobs_rejected_too_wide = entered(QuantumJobState::kRejectedTooWide);
+  metrics.jobs_shed = entered(QuantumJobState::kShed);
   metrics.degraded_holds = m_degraded_holds_->count();
   metrics.dead_letters_dropped = m_dead_letters_dropped_->count();
-  metrics.jobs_migrated_out = m_migrated_out_->count();
+  metrics.jobs_migrated_out = entered(QuantumJobState::kMigrated);
   metrics.jobs_migrated_in = m_migrated_in_->count();
   metrics.dead_letters_drained = m_dead_letters_drained_->count();
   Seconds total_wait = 0.0;

@@ -26,6 +26,7 @@
 #include "hpcqc/sched/qrm.hpp"
 #include "hpcqc/telemetry/alerts.hpp"
 #include "hpcqc/telemetry/store.hpp"
+#include "ledger_audit.hpp"
 
 namespace hpcqc {
 namespace {
@@ -169,6 +170,7 @@ CampaignOutcome run_campaign(std::uint64_t seed) {
     alerts.evaluate(store, t);
   }
   qrm.drain();
+  sched::expect_ledger_matches_records(qrm);
 
   CampaignOutcome outcome;
   std::ostringstream os;

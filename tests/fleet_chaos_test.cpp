@@ -25,6 +25,7 @@
 #include "hpcqc/sched/fleet.hpp"
 #include "hpcqc/telemetry/health.hpp"
 #include "hpcqc/telemetry/store.hpp"
+#include "ledger_audit.hpp"
 
 namespace hpcqc {
 namespace {
@@ -134,6 +135,7 @@ CampaignOutcome run_campaign(std::uint64_t seed) {
   outcome.metrics = fleet.metrics_registry().snapshot();
   outcome.fleet_audit = fleet.conservation();
   for (int d = 0; d < kDevices; ++d) {
+    sched::expect_ledger_matches_records(fleet.qrm(d));
     outcome.device_audits.push_back(fleet.qrm(d).conservation());
     outcome.device_stats.push_back(supervisor.device_stats(d));
   }

@@ -16,6 +16,7 @@
 #include "hpcqc/device/presets.hpp"
 #include "hpcqc/sched/admission.hpp"
 #include "hpcqc/sched/qrm.hpp"
+#include "ledger_audit.hpp"
 
 namespace hpcqc::sched {
 namespace {
@@ -194,6 +195,7 @@ TEST(QrmConcurrency, GatewayBackpressureNeverDropsAnOffer) {
   const JobConservation audit = qrm.conservation();
   EXPECT_EQ(audit.submitted, kThreads * kPerThread);
   EXPECT_TRUE(audit.holds());
+  expect_ledger_matches_records(qrm);
 }
 
 }  // namespace

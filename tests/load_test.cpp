@@ -16,6 +16,7 @@
 #include "hpcqc/load/driver.hpp"
 #include "hpcqc/load/traffic.hpp"
 #include "hpcqc/sched/qrm.hpp"
+#include "ledger_audit.hpp"
 
 namespace hpcqc::load {
 namespace {
@@ -177,7 +178,9 @@ LoadReport run_campaign(std::uint64_t seed, std::size_t threads) {
   driver_config.ingest_threads = threads;
   driver_config.slice = minutes(10.0);
   const OpenLoopDriver driver(driver_config);
-  return driver.run(qrm, factory, traffic.generate());
+  const LoadReport report = driver.run(qrm, factory, traffic.generate());
+  sched::expect_ledger_matches_records(qrm);
+  return report;
 }
 
 TEST(LoadCampaign, ReplaysBitIdenticallyAcrossRerunsAndThreadCounts) {
@@ -278,6 +281,7 @@ TEST(LoadFairness, FloodingTenantCannotStarveTheRest) {
   const LoadReport report = driver.run(qrm, factory, schedule);
 
   EXPECT_TRUE(report.conservation_ok);
+  sched::expect_ledger_matches_records(qrm);
   const TenantOutcome& flood = report.tenants.at(factory.tenant_name(0));
   EXPECT_EQ(flood.offered, 300u);
   // The flood hits its fair share and bounces off it...
@@ -319,6 +323,7 @@ TEST(LoadCampaign, ConservationHoldsUnderConcurrentSubmittersAtOverload) {
   EXPECT_TRUE(audit.holds());
   EXPECT_EQ(audit.submitted, schedule.size());
   EXPECT_EQ(audit.in_flight, 0u);
+  sched::expect_ledger_matches_records(qrm);
   EXPECT_GT(report.rejected, 0u);  // it really was overloaded
   EXPECT_EQ(report.admitted + report.rejected, report.offered);
 }

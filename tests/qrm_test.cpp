@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "hpcqc/calibration/benchmark.hpp"
@@ -22,6 +24,7 @@
 #include "hpcqc/store/journal.hpp"
 #include "hpcqc/store/recovery.hpp"
 #include "hpcqc/store/wal.hpp"
+#include "ledger_audit.hpp"
 
 namespace hpcqc::sched {
 namespace {
@@ -917,6 +920,137 @@ TEST_F(QrmTest, RepeatedOfflineMidRunDoesNotDuplicateTheJob) {
   EXPECT_TRUE(audit.holds());
   EXPECT_EQ(audit.submitted, 1u);
   EXPECT_EQ(audit.completed, 1u);
+}
+
+/// Journal sink that keeps only the kind of each job event.
+struct EventKindRecorder final : JournalSink {
+  std::vector<JobEvent::Kind> kinds;
+  void on_event(const JobEvent& event) override { kinds.push_back(event.kind); }
+
+  /// The kinds seen since the last call.
+  std::vector<JobEvent::Kind> take() { return std::exchange(kinds, {}); }
+};
+
+TEST(QrmLifecycle, EveryEdgeEmitsItsEventAndKeepsTheLedger) {
+  // Drives each job-state edge once and pins the journal event it emits;
+  // after every step conservation() must equal a walk over the records.
+  using Kind = JobEvent::Kind;
+  using State = QuantumJobState;
+  Rng rng(17);
+  device::DeviceModel device = device::make_iqm20(rng);
+  Qrm::Config config = fast_config();
+  config.job_overhead = minutes(10.0);  // every queued job costs >= 10 min
+  config.admission.brownout_wait_limit = minutes(25.0);
+  config.retry.max_attempts = 2;
+  EventKindRecorder sink;
+  config.durability.sink = &sink;
+  Qrm qrm(device, config, rng, nullptr);
+  const auto advance_until = [&](const std::function<bool()>& done) {
+    for (int s = 0; s < 86400 && !done(); ++s) qrm.advance_to(qrm.now() + 1.0);
+    ASSERT_TRUE(done());
+  };
+  const auto step = [&](std::vector<Kind> expected) {
+    EXPECT_EQ(sink.take(), expected);
+    expect_ledger_matches_records(qrm);
+  };
+
+  // Admit; refuse a circuit wider than the healthy component.
+  const int a = qrm.submit(ghz_job(device, 4, 500, "a"));
+  step({Kind::kSubmitted, Kind::kAdmitted});
+  QuantumJob wide;
+  wide.name = "wide";
+  wide.circuit =
+      calibration::GhzBenchmark::chain_circuit(device, device.num_qubits());
+  const auto chain = device.topology().coupled_chain();
+  device.set_qubit_health(chain[0], false);
+  const int too_wide = qrm.submit(std::move(wide));
+  EXPECT_EQ(qrm.record(too_wide).state, State::kRejectedTooWide);
+  step({Kind::kSubmitted, Kind::kRejected});
+  device.set_qubit_health(chain[0], true);
+
+  // Dispatch, then an outage requeues the running job.
+  advance_until([&] { return qrm.record(a).state == State::kRunning; });
+  step({Kind::kDispatched});
+  qrm.set_offline("cooling lost");
+  EXPECT_EQ(qrm.record(a).state, State::kQueued);
+  step({Kind::kInterrupted, Kind::kOffline});
+
+  // Offline, so nothing starts: cancel, migrate and dead-letter from the
+  // queue.
+  const int b = qrm.submit(ghz_job(device, 4, 500, "b"));
+  step({Kind::kSubmitted, Kind::kAdmitted});
+  EXPECT_TRUE(qrm.cancel(b, "superseded"));
+  step({Kind::kCancelled});
+  const int c = qrm.submit(ghz_job(device, 4, 500, "c"));
+  step({Kind::kSubmitted, Kind::kAdmitted});
+  ASSERT_TRUE(qrm.extract_job(c, "peer has capacity").has_value());
+  EXPECT_EQ(qrm.record(c).state, State::kMigrated);
+  step({Kind::kMigratedOut});
+  const int d = qrm.submit(ghz_job(device, 4, 500, "d"));
+  step({Kind::kSubmitted, Kind::kAdmitted});
+  EXPECT_TRUE(qrm.dead_letter_job(d, "no healthy peer"));
+  EXPECT_EQ(qrm.record(d).state, State::kFailed);
+  step({Kind::kDeadLettered});
+
+  // Brownout: the admission that pushes the wait past 25 min sheds the
+  // queued low-priority job, and the next low-priority job is refused.
+  QuantumJob low = ghz_job(device, 4, 500, "low");
+  low.priority = JobPriority::kLow;
+  const int shed = qrm.submit(std::move(low));
+  step({Kind::kSubmitted, Kind::kAdmitted});
+  const int h = qrm.submit(ghz_job(device, 4, 500, "h"));
+  EXPECT_EQ(qrm.record(shed).state, State::kShed);
+  step({Kind::kSubmitted, Kind::kAdmitted, Kind::kShed});
+  QuantumJob low2 = ghz_job(device, 4, 500, "low2");
+  low2.priority = JobPriority::kLow;
+  const int refused = qrm.submit(std::move(low2));
+  EXPECT_EQ(qrm.record(refused).state, State::kRejectedOverload);
+  step({Kind::kSubmitted, Kind::kRejected});
+
+  // Every attempt from here on faults: a fails and waits out its backoff
+  // while h starts; cancel a from the retry backlog.
+  fault::FaultPlan plan;
+  plan.add({qrm.now(), fault::FaultSite::kDeviceExecution, hours(2.0),
+            "persistent abort"});
+  fault::FaultInjector injector(plan);
+  qrm.set_fault_injector(&injector);
+  qrm.set_online();
+  step({Kind::kOnline});
+  advance_until([&] { return qrm.record(a).state == State::kRetrying; });
+  EXPECT_EQ(qrm.record(h).state, State::kRunning);
+  step({Kind::kDispatched, Kind::kRetrying, Kind::kDispatched});
+  EXPECT_TRUE(qrm.cancel(a, "gave up"));
+  step({Kind::kCancelled});
+
+  // h fails, re-enters the queue when its backoff ends, and exhausts its
+  // budget on the second attempt.
+  advance_until([&] { return qrm.record(h).state == State::kRetrying; });
+  step({Kind::kRetrying});
+  advance_until([&] { return qrm.record(h).state == State::kRunning; });
+  step({Kind::kRetryRequeued, Kind::kDispatched});
+  advance_until([&] { return is_terminal(qrm.record(h).state); });
+  EXPECT_EQ(qrm.record(h).state, State::kFailed);
+  EXPECT_EQ(qrm.record(h).attempts, 2u);
+  step({Kind::kDeadLettered});
+
+  // With the faults gone a job runs to completion.
+  qrm.set_fault_injector(nullptr);
+  const int done = qrm.submit(ghz_job(device, 4, 500, "done"));
+  step({Kind::kSubmitted, Kind::kAdmitted});
+  qrm.drain();
+  EXPECT_EQ(qrm.record(done).state, State::kCompleted);
+  step({Kind::kDispatched, Kind::kCompleted});
+
+  const JobConservation audit = qrm.conservation();
+  EXPECT_EQ(audit.submitted, 9u);
+  EXPECT_EQ(audit.completed, 1u);
+  EXPECT_EQ(audit.failed, 2u);
+  EXPECT_EQ(audit.cancelled, 2u);
+  EXPECT_EQ(audit.rejected_overload, 1u);
+  EXPECT_EQ(audit.rejected_too_wide, 1u);
+  EXPECT_EQ(audit.shed, 1u);
+  EXPECT_EQ(audit.migrated, 1u);
+  EXPECT_EQ(audit.in_flight, 0u);
 }
 
 TEST(QrmTenantMetrics, CardinalityIsCappedAndTheTailSharesOneSeries) {

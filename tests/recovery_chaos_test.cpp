@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <string>
 #include <vector>
@@ -14,7 +15,16 @@
 #include <omp.h>
 #endif
 
+#include "hpcqc/calibration/benchmark.hpp"
+#include "hpcqc/device/presets.hpp"
+#include "hpcqc/fault/fault_plan.hpp"
+#include "hpcqc/fault/injector.hpp"
 #include "hpcqc/ops/durable_campaign.hpp"
+#include "hpcqc/store/journal.hpp"
+#include "hpcqc/store/recovery.hpp"
+#include "hpcqc/store/snapshot.hpp"
+#include "hpcqc/store/wal.hpp"
+#include "ledger_audit.hpp"
 
 namespace hpcqc::ops {
 namespace {
@@ -93,6 +103,63 @@ TEST(RecoveryChaos, SeedSweepHoldsTheRecoveryContract) {
     const DurableCampaignResult replay = run_durable_campaign(params);
     EXPECT_EQ(outcome.report, replay.report);
   }
+}
+
+TEST(RecoveryChaos, RestoredLedgerMatchesTheRecordsAfterEveryCrash) {
+  // A QRM under execution faults is killed four times with a seeded torn
+  // WAL tail. After every restore, and again after the recovered jobs run
+  // on, the O(1) conservation ledger must agree with a walk over the
+  // records: restore re-tallies it once, transitions keep it from there.
+  store::MemoryWalBackend backend;
+  fault::FaultPlan plan;
+  plan.add({hours(1.0), fault::FaultSite::kDeviceExecution, hours(2.0),
+            "persistent abort"});
+  Rng tear(0x7ea5);
+  Seconds now = 0.0;
+  std::size_t requeued = 0;
+  for (int generation = 0; generation < 5; ++generation) {
+    SCOPED_TRACE("generation " + std::to_string(generation));
+    Rng rng(static_cast<std::uint64_t>(generation) + 1);
+    device::DeviceModel device = device::make_iqm20(rng);
+    sched::Qrm::Config config;
+    config.benchmark.qubits = 8;
+    config.benchmark.shots = 200;
+    config.benchmark.analytic = true;
+    config.execution_mode = device::ExecutionMode::kEstimateOnly;
+    sched::Qrm qrm(device, config, rng, nullptr);
+    if (generation > 0) {
+      requeued += store::Recovery(backend).restore(qrm).requeued;
+      // The previous generation's journal replays too.
+      EXPECT_GT(qrm.conservation().submitted, 6u * (generation - 1));
+      sched::expect_ledger_matches_records(qrm);
+      now = qrm.now();
+    }
+    store::Wal wal(backend);
+    store::Journal journal(wal);
+    qrm.set_journal(&journal);
+    // A torn frame ends every later scan, and a checkpointer truncates only
+    // below its own previous snapshot: the second checkpoint drops the torn
+    // segment, so the next replay sees this generation's journal.
+    store::Checkpointer checkpointer(wal);
+    checkpointer.checkpoint(qrm);
+    checkpointer.checkpoint(qrm);
+    fault::FaultInjector injector(plan);
+    qrm.set_fault_injector(&injector);
+    for (int k = 0; k < 6; ++k) {
+      sched::QuantumJob job;
+      job.name = "g" + std::to_string(generation) + "-" + std::to_string(k);
+      job.circuit = calibration::GhzBenchmark::chain_circuit(device, 4 + k % 3);
+      job.shots = k == 5 ? 500000 : 300;  // the last one is mid-run at the kill
+      qrm.submit(std::move(job));
+      now += minutes(12.0);
+      qrm.advance_to(now);
+    }
+    sched::expect_ledger_matches_records(qrm);
+    const std::size_t torn =
+        std::min<std::size_t>(tear.uniform_index(97), backend.total_bytes());
+    backend.truncate_total(backend.total_bytes() - torn);
+  }
+  EXPECT_GT(requeued, 0u);  // restores did requeue in-flight attempts
 }
 
 #ifdef _OPENMP
