@@ -64,16 +64,21 @@ void print_reproduction() {
       supervisor.step(t);
       qrm.advance_to(t);
     }
-    const auto& stats = supervisor.stats();
-    const char* recal = stats.reports.empty()
-                            ? "-"
-                            : to_string(stats.reports[0].calibration_used);
+    obs::MetricsRegistry& metrics = supervisor.metrics_registry();
+    const Seconds downtime = metrics.counter("resilience.downtime_s").value();
+    const std::uint64_t recoveries =
+        metrics.counter("resilience.recoveries").count();
+    const Seconds mttr =
+        recoveries == 0 ? 0.0 : downtime / static_cast<double>(recoveries);
+    const auto& reports = supervisor.reports();
+    const char* recal =
+        reports.empty() ? "-" : to_string(reports[0].calibration_used);
     table.add_row({to_minutes(excursion) < 10.0
                        ? Table::num(excursion, 0) + " s"
                        : Table::num(to_minutes(excursion), 0) + " min",
-                   Table::num(to_hours(stats.total_downtime), 1),
-                   Table::num(stats.availability(days(3.0)), 3),
-                   Table::num(to_hours(stats.mttr()), 1), recal});
+                   Table::num(to_hours(downtime), 1),
+                   Table::num(1.0 - downtime / days(3.0), 3),
+                   Table::num(to_hours(mttr), 1), recal});
   }
   table.print(std::cout);
   std::cout << '\n';

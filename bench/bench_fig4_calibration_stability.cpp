@@ -72,16 +72,20 @@ void print_reproduction() {
             << "  readout median " << Table::num(median(ro_series), 5)
             << "  sd " << Table::num(stddev(ro_series), 5) << "\n\n";
 
+  const obs::MetricsSnapshot metrics =
+      campaign.qrm().metrics_registry().snapshot("qrm.");
   std::cout << "Operation summary over " << result.daily.size() << " days:\n"
             << "  uptime fraction        " << Table::num(result.uptime_fraction, 4)
             << "\n  quick recalibrations   " << result.quick_calibrations
             << " (40 min each)\n  full recalibrations    "
             << result.full_calibrations
             << " (100 min each)\n  calibration overhead   "
-            << Table::num(100.0 * result.qrm.calibration_time /
+            << Table::num(100.0 *
+                              metrics.counter("qrm.calibration_time_s")->value /
                               days(146.0), 2)
             << " % of wall time\n  jobs completed         "
-            << result.qrm.jobs_completed
+            << static_cast<std::uint64_t>(
+                   metrics.counter("qrm.jobs_completed")->value)
             << "\n  human interventions    " << result.recoveries.size()
             << " (calibration ran unattended)\n\n";
 }

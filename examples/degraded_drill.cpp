@@ -104,13 +104,17 @@ int main() {
   qrm.drain();
 
   std::cout << "\n=== Drill report ===\n";
-  const auto& stats = supervisor.stats();
-  std::cout << "dropouts: " << stats.qubit_dropouts << " qubit, "
-            << stats.coupler_dropouts << " coupler; "
-            << stats.targeted_recals << " targeted recalibrations, "
-            << stats.outages << " full outages\n";
-  std::cout << "flood: " << stats.flood_jobs_submitted << " submitted, "
-            << stats.flood_jobs_rejected << " refused at admission\n";
+  const auto count = [&supervisor](const char* name) {
+    return supervisor.metrics_registry().counter(name).count();
+  };
+  std::cout << "dropouts: " << count("resilience.qubit_dropouts")
+            << " qubit, " << count("resilience.coupler_dropouts")
+            << " coupler; " << count("resilience.targeted_recals")
+            << " targeted recalibrations, " << count("resilience.outages")
+            << " full outages\n";
+  std::cout << "flood: " << count("resilience.flood_jobs_submitted")
+            << " submitted, " << count("resilience.flood_jobs_rejected")
+            << " refused at admission\n";
 
   const auto audit = qrm.conservation();
   std::cout << "conservation: " << audit.submitted << " submitted = "

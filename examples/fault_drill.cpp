@@ -96,21 +96,29 @@ int main() {
   qrm.drain();
 
   std::cout << "\n=== Drill report ===\n";
-  const auto metrics = qrm.metrics();
-  std::cout << "jobs: " << metrics.jobs_completed << " completed, "
-            << metrics.jobs_failed << " dead-lettered, " << metrics.retries
-            << " retries over " << metrics.execution_faults
-            << " execution faults, " << metrics.calibrations_failed
-            << " failed calibrations\n";
+  obs::MetricsRegistry& metrics = qrm.metrics_registry();
+  const auto count = [&metrics](const char* name) {
+    return metrics.counter(name).count();
+  };
+  std::cout << "jobs: " << count("qrm.jobs_completed") << " completed, "
+            << count("qrm.jobs_failed") << " dead-lettered, "
+            << count("qrm.retries") << " retries over "
+            << count("qrm.execution_faults") << " execution faults, "
+            << count("qrm.calibrations_failed") << " failed calibrations\n";
   for (const auto& letter : qrm.dead_letters())
     std::cout << "dead letter: '" << letter.name << "' after "
               << letter.attempts << " attempts (" << letter.reason << ")\n";
 
-  const auto& stats = supervisor.stats();
-  std::cout << "outages: " << stats.outages << ", total downtime "
-            << Table::num(to_hours(stats.total_downtime), 1) << " h, MTTR "
-            << Table::num(to_hours(stats.mttr()), 1) << " h\n";
-  for (const auto& report : stats.reports)
+  obs::MetricsRegistry& resilience = supervisor.metrics_registry();
+  const Seconds downtime = resilience.counter("resilience.downtime_s").value();
+  const std::uint64_t recoveries =
+      resilience.counter("resilience.recoveries").count();
+  const Seconds mttr =
+      recoveries == 0 ? 0.0 : downtime / static_cast<double>(recoveries);
+  std::cout << "outages: " << resilience.counter("resilience.outages").count()
+            << ", total downtime " << Table::num(to_hours(downtime), 1)
+            << " h, MTTR " << Table::num(to_hours(mttr), 1) << " h\n";
+  for (const auto& report : supervisor.reports())
     std::cout << "recovery: peak " << Table::num(report.peak_temperature, 2)
               << " K -> " << to_string(report.calibration_used)
               << " recalibration, cooldown "

@@ -75,11 +75,13 @@ int main() {
             << " min\n\n";
 
   std::cout << "QRM activity while the workflow ran:\n";
-  const auto metrics = qrm.metrics();
-  std::cout << "  quantum jobs completed: " << metrics.jobs_completed
+  obs::MetricsRegistry& metrics = qrm.metrics_registry();
+  std::cout << "  quantum jobs completed: "
+            << metrics.counter("qrm.jobs_completed").count()
             << " (incl. other users)\n";
   std::cout << "  calibration time:       "
-            << to_minutes(metrics.calibration_time) << " min\n";
+            << to_minutes(metrics.counter("qrm.calibration_time_s").value())
+            << " min\n";
   std::cout << "  cluster utilization:    " << std::setprecision(0)
             << 100.0 * cluster.utilization(0.0, cluster.now()) << " %\n";
   return 0;

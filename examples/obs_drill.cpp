@@ -156,13 +156,16 @@ int main() {
   for (const auto& error : validation.errors)
     std::cout << "  schema error: " << error << '\n';
 
-  const auto metrics = qrm.metrics();
-  std::cout << "jobs: " << metrics.jobs_completed << " completed, "
-            << metrics.jobs_failed << " dead-lettered, "
-            << metrics.jobs_rejected_overload << " rejected (overload), "
-            << metrics.jobs_rejected_too_wide << " rejected (too wide), "
-            << metrics.jobs_shed << " shed, " << metrics.retries
-            << " retries, " << metrics.degraded_holds << " degraded holds\n";
+  const auto count = [&registry](const char* name) {
+    return registry.counter(name).count();
+  };
+  std::cout << "jobs: " << count("qrm.jobs_completed") << " completed, "
+            << count("qrm.jobs_failed") << " dead-lettered, "
+            << count("qrm.jobs_rejected_overload") << " rejected (overload), "
+            << count("qrm.jobs_rejected_too_wide") << " rejected (too wide), "
+            << count("qrm.jobs_shed") << " shed, " << count("qrm.retries")
+            << " retries, " << count("qrm.degraded_holds")
+            << " degraded holds\n";
 
   std::cout << "\n--- metrics snapshot (shared registry) ---\n";
   registry.snapshot().print(std::cout);

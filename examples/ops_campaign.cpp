@@ -33,14 +33,20 @@ int main() {
   std::cout << "=== 146-day autonomous operations campaign ===\n";
   std::cout << std::fixed << std::setprecision(4);
   std::cout << "Uptime fraction:          " << result.uptime_fraction << "\n";
-  std::cout << "Jobs completed:           " << result.qrm.jobs_completed
-            << " (" << result.qrm.total_shots << " shots)\n";
+  const obs::MetricsSnapshot metrics =
+      campaign.qrm().metrics_registry().snapshot("qrm.");
+  const auto count = [&metrics](const char* name) {
+    return static_cast<std::uint64_t>(metrics.counter(name)->value);
+  };
+  std::cout << "Jobs completed:           " << count("qrm.jobs_completed")
+            << " (" << count("qrm.total_shots") << " shots)\n";
   std::cout << "Quick recalibrations:     " << result.quick_calibrations
             << " (40 min each)\n";
   std::cout << "Full recalibrations:      " << result.full_calibrations
             << " (100 min each)\n";
   std::cout << "Time spent calibrating:   "
-            << to_hours(result.qrm.calibration_time) << " h of "
+            << to_hours(metrics.counter("qrm.calibration_time_s")->value)
+            << " h of "
             << to_days(config.duration) << " days\n";
   std::cout << "LN2 top-ups (on-site):    " << result.ln2_refills << "\n";
   std::cout << "Maintenance windows:      " << result.maintenance_windows

@@ -5,11 +5,11 @@
 
 namespace hpcqc::circuit {
 
-void apply_op(qsim::StateVector& state, const Operation& op) {
+GateUnitary gate_unitary(const Operation& op) {
   using qsim::Matrix2;
   using qsim::Matrix4;
-  // Constant gate matrices are built once per process, not per call —
-  // the trajectory engine funnels every gate of every shot through here.
+  using Form = GateUnitary::Form;
+  // Constant gate matrices are built once per process, not per call.
   static const Matrix2 kX = qsim::gate_x();
   static const Matrix2 kY = qsim::gate_y();
   static const Matrix2 kZ = qsim::gate_z();
@@ -23,56 +23,51 @@ void apply_op(qsim::StateVector& state, const Operation& op) {
   static const Matrix4 kSwap = qsim::gate_swap();
   static const Matrix4 kIswap = qsim::gate_iswap();
   switch (op.kind) {
+    case OpKind::kI:
     case OpKind::kBarrier:
-      return;
+      return {};
     case OpKind::kMeasure:
       throw PreconditionError(
-          "apply_op: measurements are handled by run_ideal, not apply_op");
-    case OpKind::kI:
-      return;
-    case OpKind::kX: state.apply_1q(kX, op.qubits[0]); return;
-    case OpKind::kY: state.apply_1q(kY, op.qubits[0]); return;
-    case OpKind::kZ: state.apply_1q(kZ, op.qubits[0]); return;
-    case OpKind::kH: state.apply_1q(kH, op.qubits[0]); return;
-    case OpKind::kS: state.apply_1q(kS, op.qubits[0]); return;
-    case OpKind::kSdg: state.apply_1q(kSdg, op.qubits[0]); return;
-    case OpKind::kT: state.apply_1q(kT, op.qubits[0]); return;
-    case OpKind::kTdg: state.apply_1q(kTdg, op.qubits[0]); return;
-    case OpKind::kSx: state.apply_1q(kSx, op.qubits[0]); return;
-    case OpKind::kRx:
-      state.apply_1q(qsim::gate_rx(op.params[0]), op.qubits[0]);
-      return;
-    case OpKind::kRy:
-      state.apply_1q(qsim::gate_ry(op.params[0]), op.qubits[0]);
-      return;
-    case OpKind::kRz:
-      state.apply_1q(qsim::gate_rz(op.params[0]), op.qubits[0]);
-      return;
+          "gate_unitary: measurements are handled by run_ideal, not apply_op");
+    case OpKind::kX: return {Form::k1q, kX};
+    case OpKind::kY: return {Form::k1q, kY};
+    case OpKind::kZ: return {Form::k1q, kZ};
+    case OpKind::kH: return {Form::k1q, kH};
+    case OpKind::kS: return {Form::k1q, kS};
+    case OpKind::kSdg: return {Form::k1q, kSdg};
+    case OpKind::kT: return {Form::k1q, kT};
+    case OpKind::kTdg: return {Form::k1q, kTdg};
+    case OpKind::kSx: return {Form::k1q, kSx};
+    case OpKind::kRx: return {Form::k1q, qsim::gate_rx(op.params[0])};
+    case OpKind::kRy: return {Form::k1q, qsim::gate_ry(op.params[0])};
+    case OpKind::kRz: return {Form::k1q, qsim::gate_rz(op.params[0])};
     case OpKind::kU:
-      state.apply_1q(qsim::gate_u(op.params[0], op.params[1], op.params[2]),
-                     op.qubits[0]);
-      return;
+      return {Form::k1q,
+              qsim::gate_u(op.params[0], op.params[1], op.params[2])};
     case OpKind::kPrx:
-      state.apply_1q(qsim::gate_prx(op.params[0], op.params[1]),
-                     op.qubits[0]);
+      return {Form::k1q, qsim::gate_prx(op.params[0], op.params[1])};
+    case OpKind::kCz: return {Form::kCphase, {}, nullptr, M_PI};
+    case OpKind::kCx: return {Form::kDense2q, {}, &kCx};
+    case OpKind::kSwap: return {Form::kDense2q, {}, &kSwap};
+    case OpKind::kIswap: return {Form::kDense2q, {}, &kIswap};
+    case OpKind::kCphase: return {Form::kCphase, {}, nullptr, op.params[0]};
+  }
+  throw Error("gate_unitary: unhandled op kind");
+}
+
+void apply_op(qsim::StateVector& state, const Operation& op) {
+  using Form = GateUnitary::Form;
+  const GateUnitary u = gate_unitary(op);
+  switch (u.form) {
+    case Form::kIdentity: return;
+    case Form::k1q: state.apply_1q(u.m2, op.qubits[0]); return;
+    case Form::kDense2q:
+      state.apply_2q(*u.m4, op.qubits[0], op.qubits[1]);
       return;
-    case OpKind::kCz:
-      state.apply_cphase(M_PI, op.qubits[0], op.qubits[1]);
-      return;
-    case OpKind::kCx:
-      state.apply_2q(kCx, op.qubits[0], op.qubits[1]);
-      return;
-    case OpKind::kSwap:
-      state.apply_2q(kSwap, op.qubits[0], op.qubits[1]);
-      return;
-    case OpKind::kIswap:
-      state.apply_2q(kIswap, op.qubits[0], op.qubits[1]);
-      return;
-    case OpKind::kCphase:
-      state.apply_cphase(op.params[0], op.qubits[0], op.qubits[1]);
+    case Form::kCphase:
+      state.apply_cphase(u.theta, op.qubits[0], op.qubits[1]);
       return;
   }
-  throw Error("apply_op: unhandled op kind");
 }
 
 void apply_gates(qsim::StateVector& state, const Circuit& circuit) {

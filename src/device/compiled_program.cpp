@@ -3,34 +3,12 @@
 #include <algorithm>
 #include <cmath>
 
+#include "hpcqc/circuit/execute.hpp"
 #include "hpcqc/common/error.hpp"
 
 namespace hpcqc::device {
 
 namespace {
-
-qsim::Matrix2 matrix_1q(const circuit::Operation& op) {
-  using circuit::OpKind;
-  switch (op.kind) {
-    case OpKind::kX: return qsim::gate_x();
-    case OpKind::kY: return qsim::gate_y();
-    case OpKind::kZ: return qsim::gate_z();
-    case OpKind::kH: return qsim::gate_h();
-    case OpKind::kS: return qsim::gate_s();
-    case OpKind::kSdg: return qsim::gate_sdg();
-    case OpKind::kT: return qsim::gate_t();
-    case OpKind::kTdg: return qsim::gate_tdg();
-    case OpKind::kSx: return qsim::gate_sx();
-    case OpKind::kRx: return qsim::gate_rx(op.params[0]);
-    case OpKind::kRy: return qsim::gate_ry(op.params[0]);
-    case OpKind::kRz: return qsim::gate_rz(op.params[0]);
-    case OpKind::kU:
-      return qsim::gate_u(op.params[0], op.params[1], op.params[2]);
-    case OpKind::kPrx: return qsim::gate_prx(op.params[0], op.params[1]);
-    default:
-      throw Error("CompiledProgram: op is not a single-qubit gate");
-  }
-}
 
 /// Depolarizing "keep" parameter of a 1q Pauli-error channel with error
 /// probability p: the channel is lambda*rho + (1-lambda)*I/2 with
@@ -104,13 +82,14 @@ CompiledProgram::CompiledProgram(const circuit::Circuit& circuit,
     slot = Pending{};
   };
 
+  using Form = circuit::GateUnitary::Form;
   const auto& source_ops = circuit.ops();
   for (std::size_t i = 0; i < source_ops.size(); ++i) {
     const auto& op = source_ops[i];
-    if (op.kind == OpKind::kMeasure || op.kind == OpKind::kBarrier ||
-        op.kind == OpKind::kI)
-      continue;  // kI carries no error in the uncompiled engine either
-    if (circuit::op_is_two_qubit(op.kind)) {
+    if (op.kind == OpKind::kMeasure) continue;
+    const circuit::GateUnitary u = circuit::gate_unitary(op);
+    if (u.form == Form::kIdentity) continue;  // identities carry no error
+    if (u.form != Form::k1q) {
       const int d0 = phys_to_dense[static_cast<std::size_t>(op.qubits[0])];
       const int d1 = phys_to_dense[static_cast<std::size_t>(op.qubits[1])];
       flush(d0);
@@ -123,30 +102,15 @@ CompiledProgram::CompiledProgram(const circuit::Circuit& circuit,
           calibration.couplers[static_cast<std::size_t>(edge)].fidelity_cz,
           2);
       std::vector<std::uint32_t> sources;
-      switch (op.kind) {
-        case OpKind::kCz:
-          out.kind = CompiledOp::Kind::kCphase;
-          out.theta = M_PI;
-          break;
-        case OpKind::kCphase:
-          out.kind = CompiledOp::Kind::kCphase;
-          out.theta = op.params[0];
+      if (u.form == Form::kCphase) {
+        out.kind = CompiledOp::Kind::kCphase;
+        out.theta = u.theta;
+        // CZ's angle is fixed; only CPhase follows a rebind.
+        if (op.kind == OpKind::kCphase)
           sources.push_back(static_cast<std::uint32_t>(i));
-          break;
-        case OpKind::kCx:
-          out.kind = CompiledOp::Kind::kDense2q;
-          out.m4 = qsim::gate_cx();
-          break;
-        case OpKind::kSwap:
-          out.kind = CompiledOp::Kind::kDense2q;
-          out.m4 = qsim::gate_swap();
-          break;
-        case OpKind::kIswap:
-          out.kind = CompiledOp::Kind::kDense2q;
-          out.m4 = qsim::gate_iswap();
-          break;
-        default:
-          throw Error("CompiledProgram: unhandled two-qubit op");
+      } else {
+        out.kind = CompiledOp::Kind::kDense2q;
+        out.m4 = *u.m4;
       }
       ops_.push_back(out);
       sources_.push_back(std::move(sources));
@@ -154,11 +118,10 @@ CompiledProgram::CompiledProgram(const circuit::Circuit& circuit,
     }
     const int d = phys_to_dense[static_cast<std::size_t>(op.qubits[0])];
     auto& slot = pending[static_cast<std::size_t>(d)];
-    const qsim::Matrix2 g = matrix_1q(op);
     if (slot.any) {
-      slot.m = qsim::matmul(g, slot.m);  // g acts after the pending run
+      slot.m = qsim::matmul(u.m2, slot.m);  // u acts after the pending run
     } else {
-      slot.m = g;
+      slot.m = u.m2;
       slot.any = true;
     }
     slot.keep *= keep_1q[static_cast<std::size_t>(d)];
@@ -182,9 +145,9 @@ void CompiledProgram::rebind(const circuit::Circuit& circuit) {
     }
     // Replay the constructor's accumulation order exactly, so the fused
     // matrix is bit-identical to a fresh compilation of `circuit`.
-    qsim::Matrix2 m = matrix_1q(source_ops[sources[0]]);
+    qsim::Matrix2 m = circuit::gate_unitary(source_ops[sources[0]]).m2;
     for (std::size_t s = 1; s < sources.size(); ++s)
-      m = qsim::matmul(matrix_1q(source_ops[sources[s]]), m);
+      m = qsim::matmul(circuit::gate_unitary(source_ops[sources[s]]).m2, m);
     op.m2 = m;
   }
 }
@@ -201,8 +164,8 @@ void CompiledProgram::draw_insertions(Rng& rng,
     if (op.kind == CompiledOp::Kind::kFused1q) {
       ins.which = static_cast<std::uint8_t>(rng.uniform_index(3));
     } else {
-      // Uniform over the 15 non-identity two-qubit Paulis, matching
-      // StateVector::apply_pauli_error_2q's draw.
+      // Uniform over the 15 non-identity two-qubit Paulis: the channel
+      // qsim::DensityMatrix::apply_depolarizing_2q averages to.
       ins.which = static_cast<std::uint8_t>(1 + rng.uniform_index(15));
     }
     out.push_back(ins);
@@ -251,17 +214,7 @@ void CompiledProgram::run(qsim::StateVector& state, Rng& rng) const {
 }
 
 void CompiledProgram::run_ideal(qsim::StateVector& state) const {
-  for (const auto& op : ops_) {
-    switch (op.kind) {
-      case CompiledOp::Kind::kFused1q: state.apply_1q(op.m2, op.q0); break;
-      case CompiledOp::Kind::kCphase:
-        state.apply_cphase(op.theta, op.q0, op.q1);
-        break;
-      case CompiledOp::Kind::kDense2q:
-        state.apply_2q(op.m4, op.q0, op.q1);
-        break;
-    }
-  }
+  for (std::size_t i = 0; i < ops_.size(); ++i) apply_step(state, i);
 }
 
 }  // namespace hpcqc::device

@@ -41,16 +41,16 @@ struct CompiledOp {
 /// loop then replays a flat op list with no topology lookups, fidelity
 /// conversions, or matrix construction per shot.
 ///
-/// Noise semantics match the uncompiled engine exactly in distribution:
-/// the per-gate error channel is depolarizing, which commutes with any
-/// unitary on the same qubit(s), so deferring a fused run's composed
-/// error to the end of the run realizes the same channel.
+/// Fusion keeps the noise exact in distribution: the per-gate error
+/// channel is depolarizing, which commutes with any unitary on the same
+/// qubit(s), so deferring a fused run's composed error to the end of the
+/// run realizes the same channel as applying each gate's error after it.
 class CompiledProgram {
 public:
   /// Compiles `circuit` (which must already be routed/validated against
-  /// `topology`) using the error rates in `calibration`. Measurements and
-  /// barriers are dropped; identity gates carry no error (as in the
-  /// uncompiled engine) and are elided.
+  /// `topology`) using the error rates in `calibration`. Gates lower to
+  /// their matrices through circuit::gate_unitary. Measurements and
+  /// barriers are dropped; identity gates carry no error and are elided.
   CompiledProgram(const circuit::Circuit& circuit, const Topology& topology,
                   const CalibrationState& calibration);
 

@@ -72,13 +72,11 @@ BreakerState Client::breaker_state() const {
 }
 
 void Client::note_failure() {
-  ++retries_;
   if (m_retries_ != nullptr) m_retries_->inc();
   ++consecutive_failures_;
   if (consecutive_failures_ >= resilience_.breaker_threshold &&
       !breaker_open_) {
     breaker_open_ = true;
-    ++breaker_opens_;
     if (m_breaker_opens_ != nullptr) m_breaker_opens_->inc();
     if (tracer_ != nullptr && submit_span_ != obs::kNoSpan)
       tracer_->add_event(submit_span_, clock_->now(), "breaker-opened",
@@ -95,7 +93,6 @@ RunResult Client::emulator_fallback(const circuit::Circuit& circuit,
     throw TransientError(
         "Client: QPU unavailable and emulator fallback disabled",
         ErrorCode::kDeviceUnavailable);
-  ++fallbacks_;
   if (m_fallbacks_ != nullptr) m_fallbacks_->inc();
   if (tracer_ != nullptr && submit_span_ != obs::kNoSpan)
     tracer_->add_event(submit_span_, clock_->now(), "fallback-emulated",

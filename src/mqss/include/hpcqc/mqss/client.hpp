@@ -118,19 +118,15 @@ public:
   /// Breaker state at the current clock time.
   BreakerState breaker_state() const;
   const ResilienceParams& resilience() const { return resilience_; }
-  // Thin shims over the client's registry metrics (kept for pre-registry
-  // callers; the counters below mirror into the registry when attached).
-  std::size_t retries() const { return retries_; }          ///< failed attempts
-  std::size_t fallbacks() const { return fallbacks_; }      ///< emulated runs
-  std::size_t breaker_opens() const { return breaker_opens_; }
 
   /// Attaches a tracer: each submission becomes a client.submit root span
   /// (timestamped on the client's SimClock) whose context is threaded into
   /// the service, so the whole path shares one trace. nullptr disables.
   void set_tracer(obs::Tracer* tracer) { tracer_ = tracer; }
-  /// Mirrors client counters (client.retries / fallbacks / breaker_opens)
-  /// and the client.turnaround_s histogram into `registry`; also forwards
-  /// the registry to the service. nullptr detaches.
+  /// Counts into `registry`: client.retries (failed attempts),
+  /// client.fallbacks (emulated runs), client.breaker_opens and the
+  /// client.turnaround_s histogram; also forwards the registry to the
+  /// service. nullptr detaches.
   void set_metrics(obs::MetricsRegistry* registry);
 
 private:
@@ -160,9 +156,6 @@ private:
   bool breaker_open_ = false;
   Seconds breaker_open_until_ = 0.0;
   std::size_t consecutive_failures_ = 0;
-  std::size_t retries_ = 0;
-  std::size_t fallbacks_ = 0;
-  std::size_t breaker_opens_ = 0;
 
   obs::Tracer* tracer_ = nullptr;
   obs::SpanHandle submit_span_ = obs::kNoSpan;  ///< open during submit()

@@ -145,9 +145,6 @@ public:
   /// placements.
   void set_compile_cache_enabled(bool enabled);
   void set_compile_cache_capacity(std::size_t capacity);
-  std::size_t cache_size() const { return cache_.stats().size; }
-  std::size_t cache_hits() const { return cache_.stats().hits; }
-  std::size_t cache_misses() const { return cache_.stats().misses; }
   StructureCacheStats cache_stats() const { return cache_.stats(); }
 
   /// Serializes a run's counts in the given §2.4 output format.

@@ -240,7 +240,6 @@ CampaignResult OperationsCampaign::run() {
     }
   }
 
-  result.qrm = qrm_->metrics();
   result.quick_calibrations = qrm_->controller().calibration_count(
       calibration::CalibrationKind::kQuick);
   result.full_calibrations = qrm_->controller().calibration_count(

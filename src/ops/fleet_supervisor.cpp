@@ -34,6 +34,11 @@ FleetSupervisor::FleetSupervisor(sched::Fleet& fleet,
     unit->supervisor = std::make_unique<ResilienceSupervisor>(
         fleet.qrm(device), *unit->cryostat, fleet.device_model(device),
         *unit->injector, rng, log, store, device_params);
+    auto& device_registry = unit->supervisor->metrics_registry();
+    unit->device_outages = &device_registry.counter("resilience.outages");
+    unit->device_recoveries =
+        &device_registry.counter("resilience.recoveries");
+    unit->device_downtime = &device_registry.counter("resilience.downtime_s");
 
     unit->m_outages = &fleet_registry.counter(params_.sensor_prefix + "." +
                                               name + ".outages");
@@ -61,10 +66,6 @@ cryo::Cryostat& FleetSupervisor::cryostat(int device) {
   return *unit(device).cryostat;
 }
 
-ResilienceStats FleetSupervisor::device_stats(int device) {
-  return unit(device).supervisor->stats();
-}
-
 std::string FleetSupervisor::online_sensor(int device) const {
   return params_.sensor_prefix + "." +
          fleet_->device_name(device) + ".qpu_online";
@@ -75,19 +76,19 @@ void FleetSupervisor::sync_counters() {
   // registry, per device and fleet-wide, so one MetricsSnapshot of the
   // fleet registry tells the whole availability story.
   for (auto& unit : units_) {
-    const ResilienceStats stats = unit->supervisor->stats();
-    if (stats.outages > unit->outages_seen) {
-      const double delta =
-          static_cast<double>(stats.outages - unit->outages_seen);
+    const std::size_t outages = unit->device_outages->count();
+    if (outages > unit->outages_seen) {
+      const double delta = static_cast<double>(outages - unit->outages_seen);
       unit->m_outages->inc(delta);
       m_outages_->inc(delta);
-      unit->outages_seen = stats.outages;
+      unit->outages_seen = outages;
     }
-    if (stats.total_downtime > unit->downtime_seen) {
-      const Seconds delta = stats.total_downtime - unit->downtime_seen;
+    const Seconds downtime = unit->device_downtime->value();
+    if (downtime > unit->downtime_seen) {
+      const Seconds delta = downtime - unit->downtime_seen;
       unit->m_downtime->inc(delta);
       m_downtime_->inc(delta);
-      unit->downtime_seen = stats.total_downtime;
+      unit->downtime_seen = downtime;
     }
   }
 }
@@ -105,11 +106,10 @@ FleetResilienceStats FleetSupervisor::stats() {
   sync_counters();
   FleetResilienceStats out;
   out.devices = units_.size();
-  for (auto& unit : units_) {
-    const ResilienceStats stats = unit->supervisor->stats();
-    out.outages += stats.outages;
-    out.recoveries += stats.recoveries;
-    out.total_downtime += stats.total_downtime;
+  for (const auto& unit : units_) {
+    out.outages += unit->device_outages->count();
+    out.recoveries += unit->device_recoveries->count();
+    out.total_downtime += unit->device_downtime->value();
   }
   auto& registry = fleet_->metrics_registry();
   out.migrations =

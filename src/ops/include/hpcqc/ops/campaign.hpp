@@ -53,7 +53,6 @@ struct DailyRecord {
 /// Aggregate outcome of one campaign.
 struct CampaignResult {
   std::vector<DailyRecord> daily;
-  sched::QrmMetrics qrm;
   std::size_t quick_calibrations = 0;
   std::size_t full_calibrations = 0;
   double uptime_fraction = 0.0;
@@ -85,6 +84,9 @@ public:
   const telemetry::AlertEngine& alerts() const { return alerts_; }
   const EventLog& log() const { return log_; }
   const device::DeviceModel& device() const { return *device_; }
+  /// The campaign's QRM; its qrm.* counters live in
+  /// qrm().metrics_registry().
+  const sched::Qrm& qrm() const { return *qrm_; }
 
 private:
   CampaignConfig config_;

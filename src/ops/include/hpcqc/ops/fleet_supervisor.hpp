@@ -77,8 +77,8 @@ public:
   fault::FaultInjector& injector(int device);
   cryo::Cryostat& cryostat(int device);
 
-  /// Per-device outage stats, assembled by the device's supervisor.
-  ResilienceStats device_stats(int device);
+  /// Fleet-wide totals. Per-device counts live in each device
+  /// supervisor's registry (supervisor(d).metrics_registry()).
   FleetResilienceStats stats();
 
   /// Sensor name carrying a device's 1/0 online signal
@@ -91,6 +91,10 @@ private:
     std::unique_ptr<cryo::Cryostat> cryostat;
     std::unique_ptr<fault::FaultInjector> injector;
     std::unique_ptr<ResilienceSupervisor> supervisor;
+    /// The supervisor's resilience.* counters.
+    const obs::Counter* device_outages = nullptr;
+    const obs::Counter* device_recoveries = nullptr;
+    const obs::Counter* device_downtime = nullptr;
     std::size_t outages_seen = 0;
     Seconds downtime_seen = 0.0;
     obs::Counter* m_outages = nullptr;

@@ -16,33 +16,6 @@
 
 namespace hpcqc::ops {
 
-/// Outage / recovery bookkeeping of one supervised campaign.
-struct ResilienceStats {
-  std::size_t outages = 0;
-  std::size_t recoveries = 0;
-  Seconds total_downtime = 0.0;
-  std::vector<RecoveryReport> reports;
-
-  /// Partial-degrade path (masked serving, §3.4-3.5): dropout events
-  /// observed, and targeted single-element recalibrations completed.
-  std::size_t qubit_dropouts = 0;
-  std::size_t coupler_dropouts = 0;
-  std::size_t targeted_recals = 0;
-  /// Synthetic queue-flood submissions issued / refused by admission.
-  std::size_t flood_jobs_submitted = 0;
-  std::size_t flood_jobs_rejected = 0;
-
-  /// Mean time to recovery: fault onset -> back in service.
-  Seconds mttr() const {
-    return recoveries == 0 ? 0.0
-                           : total_downtime / static_cast<double>(recoveries);
-  }
-  /// Fraction of `window` the QPU was in service.
-  double availability(Seconds window) const {
-    return window <= 0.0 ? 1.0 : 1.0 - total_downtime / window;
-  }
-};
-
 /// Tunables of the outage supervisor (namespace scope so it can serve as a
 /// defaulted constructor argument).
 struct SupervisorParams {
@@ -92,11 +65,13 @@ public:
   void step(Seconds t);
 
   bool outage_active() const { return outage_active_; }
-  /// Aggregate stats assembled from the registry counters (plus the
-  /// recovery reports). By-value shim kept for pre-registry callers.
-  ResilienceStats stats() const;
+  /// One report per completed recovery, in order.
+  const std::vector<RecoveryReport>& reports() const { return reports_; }
 
-  /// The live registry holding the resilience.* metrics.
+  /// The live registry holding the resilience.* metrics: outages,
+  /// recoveries, downtime_s, qubit/coupler dropouts, targeted_recals and
+  /// flood_jobs_submitted/_rejected (counters); qpu_online and brownout
+  /// (gauges).
   obs::MetricsRegistry& metrics_registry() { return *registry_; }
   const obs::MetricsRegistry& metrics_registry() const { return *registry_; }
 

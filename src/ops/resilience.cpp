@@ -40,20 +40,6 @@ ResilienceSupervisor::ResilienceSupervisor(
   m_brownout_ = &registry_->gauge("resilience.brownout");
 }
 
-ResilienceStats ResilienceSupervisor::stats() const {
-  ResilienceStats stats;
-  stats.outages = m_outages_->count();
-  stats.recoveries = m_recoveries_->count();
-  stats.total_downtime = m_downtime_->value();
-  stats.reports = reports_;
-  stats.qubit_dropouts = m_qubit_dropouts_->count();
-  stats.coupler_dropouts = m_coupler_dropouts_->count();
-  stats.targeted_recals = m_targeted_recals_->count();
-  stats.flood_jobs_submitted = m_flood_submitted_->count();
-  stats.flood_jobs_rejected = m_flood_rejected_->count();
-  return stats;
-}
-
 void ResilienceSupervisor::step(Seconds t) {
   expects(t >= last_step_,
           "ResilienceSupervisor::step: time must not go backwards");

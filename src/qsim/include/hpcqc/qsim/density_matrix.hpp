@@ -32,23 +32,22 @@ public:
   /// rho -> sum_k K_k rho K_k† (single-qubit Kraus set).
   void apply_kraus_1q(std::span<const Matrix2> kraus, int qubit);
 
-  /// Depolarizing channel matching StateVector::apply_pauli_error's
-  /// average: with probability p a uniformly random non-identity Pauli.
+  /// Depolarizing channel: with probability p a uniformly random
+  /// non-identity Pauli — the average of the one-qubit insertions
+  /// device::CompiledProgram::draw_insertions samples.
   void apply_depolarizing(int qubit, double p);
 
-  /// Two-qubit depolarizing channel matching
-  /// StateVector::apply_pauli_error_2q's average: with probability p a
-  /// uniformly random non-identity two-qubit Pauli on the pair. This is the
-  /// exact channel the trajectory engine samples per noisy two-qubit step,
-  /// which is what lets the differential oracle in `verify/` compare the
-  /// two simulators without sampling error on this side.
+  /// Two-qubit depolarizing channel: with probability p a uniformly random
+  /// non-identity two-qubit Pauli on the pair. This is the exact channel
+  /// device::CompiledProgram::draw_insertions samples per noisy two-qubit
+  /// step, which is what lets the differential oracle in `verify/` compare
+  /// the two simulators without sampling error on this side.
   void apply_depolarizing_2q(int qubit0, int qubit1, double p);
 
   /// Amplitude damping with decay probability gamma (T1 channel).
   void apply_amplitude_damping(int qubit, double gamma);
 
-  /// Phase damping as a Z-flip with probability lambda (matches
-  /// StateVector::apply_phase_damping's average).
+  /// Phase damping as a Z-flip with probability lambda.
   void apply_phase_damping(int qubit, double lambda);
 
   /// tr(rho): 1 for any physical evolution.

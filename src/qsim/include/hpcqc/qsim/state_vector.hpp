@@ -45,21 +45,8 @@ public:
   /// Diagonal two-qubit phase (fast path for CZ / CPhase).
   void apply_cphase(double theta, int qubit0, int qubit1);
 
-  /// L2 norm of the state (1.0 up to rounding for unitary evolution).
-  double norm() const;
-
-  /// Rescales so that norm() == 1; throws if the state is numerically zero.
-  void normalize();
-
-  /// Probability of measuring `qubit` as 1.
-  double probability_one(int qubit) const;
-
   /// Probability distribution over all 2^n basis states.
   std::vector<double> probabilities() const;
-
-  /// Projectively measures one qubit, collapsing the state. Returns the
-  /// outcome bit.
-  int measure(int qubit, Rng& rng);
 
   /// Samples `shots` full-register outcomes from the current distribution
   /// without collapsing the state (the physical analogue: identical
@@ -72,48 +59,16 @@ public:
   /// builds an O(2^n) CDF which is wasteful for one draw.
   std::uint64_t sample_one(Rng& rng) const;
 
-  /// <Z_mask>: expectation of the tensor product of Z on the qubits set in
-  /// `mask` (identity elsewhere).
-  double expectation_z(std::uint64_t mask) const;
-
-  /// |<this|other>|^2 — state fidelity against another pure state.
-  double fidelity(const StateVector& other) const;
-
-  /// Inner product <this|other>.
-  Complex inner_product(const StateVector& other) const;
-
-  // ---- Trajectory noise (physical error injection) ------------------------
-
-  /// Stochastic Pauli error: with probability `p` applies a uniformly random
-  /// non-identity Pauli on `qubit`. Models depolarizing gate error; the
-  /// process fidelity of the averaged channel is 1 - p.
-  void apply_pauli_error(int qubit, double p, Rng& rng);
-
-  /// Two-qubit stochastic Pauli error: with probability `p` applies a
-  /// uniformly random non-identity two-qubit Pauli on the pair.
-  void apply_pauli_error_2q(int qubit0, int qubit1, double p, Rng& rng);
-
-  /// Amplitude damping (T1 decay) trajectory step with damping probability
-  /// `gamma` = 1 - exp(-t/T1). Selects the jump/no-jump Kraus branch with
-  /// the physically correct probability and renormalizes.
-  void apply_amplitude_damping(int qubit, double gamma, Rng& rng);
-
-  /// Pure dephasing trajectory step with phase-flip probability
-  /// `lambda` (applies Z with probability lambda).
-  void apply_phase_damping(int qubit, double lambda, Rng& rng);
-
 private:
   int num_qubits_;
   std::vector<Complex> amps_;
 };
 
 /// Converts an average gate fidelity into the stochastic-Pauli error
-/// probability used by apply_pauli_error(_2q): with d = 2^num_qubits,
-/// process fidelity F_pro = ((d+1)·F_avg − 1)/d and p = 1 − F_pro.
+/// probability that device::CompiledProgram::draw_insertions draws after
+/// each step: with d = 2^num_qubits, process fidelity
+/// F_pro = ((d+1)·F_avg − 1)/d and p = 1 − F_pro.
 double pauli_error_prob_from_avg_fidelity(double avg_fidelity,
                                           int num_qubits);
-
-/// Inverse of pauli_error_prob_from_avg_fidelity.
-double avg_fidelity_from_pauli_error_prob(double p, int num_qubits);
 
 }  // namespace hpcqc::qsim

@@ -1,7 +1,6 @@
 #include "hpcqc/qsim/state_vector.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 
 #include "hpcqc/common/error.hpp"
@@ -174,42 +173,6 @@ void StateVector::apply_cphase(double theta, int qubit0, int qubit1) {
   });
 }
 
-double StateVector::norm() const {
-  double acc = 0.0;
-  const std::uint64_t dim = dimension();
-  const Complex* a = amps_.data();
-#pragma omp parallel for if (dim >= kParallelThreshold) reduction(+ : acc) \
-    schedule(static)
-  for (std::int64_t i = 0; i < static_cast<std::int64_t>(dim); ++i)
-    acc += std::norm(a[i]);
-  return std::sqrt(acc);
-}
-
-void StateVector::normalize() {
-  const double n = norm();
-  ensure_state(n > 1e-300, "normalize: state has collapsed to zero");
-  const double inv = 1.0 / n;
-  const std::uint64_t dim = dimension();
-  Complex* a = amps_.data();
-#pragma omp parallel for if (dim >= kParallelThreshold) schedule(static)
-  for (std::int64_t i = 0; i < static_cast<std::int64_t>(dim); ++i)
-    a[i] *= inv;
-}
-
-double StateVector::probability_one(int qubit) const {
-  expects(qubit >= 0 && qubit < num_qubits_,
-          "probability_one: qubit out of range");
-  const std::uint64_t bit = std::uint64_t{1} << qubit;
-  const std::uint64_t dim = dimension();
-  const Complex* a = amps_.data();
-  double acc = 0.0;
-#pragma omp parallel for if (dim >= kParallelThreshold) reduction(+ : acc) \
-    schedule(static)
-  for (std::int64_t i = 0; i < static_cast<std::int64_t>(dim); ++i)
-    if (static_cast<std::uint64_t>(i) & bit) acc += std::norm(a[i]);
-  return acc;
-}
-
 std::vector<double> StateVector::probabilities() const {
   const std::uint64_t dim = dimension();
   std::vector<double> probs(dim);
@@ -219,21 +182,6 @@ std::vector<double> StateVector::probabilities() const {
   for (std::int64_t i = 0; i < static_cast<std::int64_t>(dim); ++i)
     p[i] = std::norm(a[i]);
   return probs;
-}
-
-int StateVector::measure(int qubit, Rng& rng) {
-  const double p1 = probability_one(qubit);
-  const int outcome = rng.bernoulli(p1) ? 1 : 0;
-  const std::uint64_t bit = std::uint64_t{1} << qubit;
-  const std::uint64_t dim = dimension();
-  Complex* a = amps_.data();
-#pragma omp parallel for if (dim >= kParallelThreshold) schedule(static)
-  for (std::int64_t i = 0; i < static_cast<std::int64_t>(dim); ++i) {
-    const bool is_one = (static_cast<std::uint64_t>(i) & bit) != 0;
-    if (is_one != (outcome == 1)) a[i] = Complex{0.0, 0.0};
-  }
-  normalize();
-  return outcome;
 }
 
 std::uint64_t StateVector::sample_one(Rng& rng) const {
@@ -283,109 +231,6 @@ std::vector<std::uint64_t> StateVector::sample(std::size_t shots,
   return out;
 }
 
-double StateVector::expectation_z(std::uint64_t mask) const {
-  const std::uint64_t dim = dimension();
-  const Complex* a = amps_.data();
-  double acc = 0.0;
-#pragma omp parallel for if (dim >= kParallelThreshold) reduction(+ : acc) \
-    schedule(static)
-  for (std::int64_t i = 0; i < static_cast<std::int64_t>(dim); ++i) {
-    const int parity =
-        std::popcount(static_cast<std::uint64_t>(i) & mask) & 1;
-    acc += (parity ? -1.0 : 1.0) * std::norm(a[i]);
-  }
-  return acc;
-}
-
-double StateVector::fidelity(const StateVector& other) const {
-  return std::norm(inner_product(other));
-}
-
-Complex StateVector::inner_product(const StateVector& other) const {
-  expects(num_qubits_ == other.num_qubits_,
-          "inner_product: qubit count mismatch");
-  const std::uint64_t dim = dimension();
-  const Complex* a = amps_.data();
-  const Complex* b = other.amps_.data();
-  // OpenMP has no portable std::complex reduction — reduce the parts.
-  double re = 0.0;
-  double im = 0.0;
-#pragma omp parallel for if (dim >= kParallelThreshold) \
-    reduction(+ : re, im) schedule(static)
-  for (std::int64_t i = 0; i < static_cast<std::int64_t>(dim); ++i) {
-    const Complex term = std::conj(a[i]) * b[i];
-    re += term.real();
-    im += term.imag();
-  }
-  return Complex{re, im};
-}
-
-void StateVector::apply_pauli_error(int qubit, double p, Rng& rng) {
-  expects(p >= 0.0 && p <= 1.0, "apply_pauli_error: p outside [0,1]");
-  if (!rng.bernoulli(p)) return;
-  static const Matrix2 kX = gate_x();
-  static const Matrix2 kY = gate_y();
-  static const Matrix2 kZ = gate_z();
-  switch (rng.uniform_index(3)) {
-    case 0: apply_1q(kX, qubit); break;
-    case 1: apply_1q(kY, qubit); break;
-    default: apply_1q(kZ, qubit); break;
-  }
-}
-
-void StateVector::apply_pauli_error_2q(int qubit0, int qubit1, double p,
-                                       Rng& rng) {
-  expects(p >= 0.0 && p <= 1.0, "apply_pauli_error_2q: p outside [0,1]");
-  if (!rng.bernoulli(p)) return;
-  // Uniform over the 15 non-identity two-qubit Paulis.
-  const std::uint64_t which = 1 + rng.uniform_index(15);
-  const int p0 = static_cast<int>(which % 4);
-  const int p1 = static_cast<int>(which / 4);
-  static const Matrix2 kX = gate_x();
-  static const Matrix2 kY = gate_y();
-  static const Matrix2 kZ = gate_z();
-  const auto apply_pauli = [this](int pauli, int q) {
-    switch (pauli) {
-      case 1: apply_1q(kX, q); break;
-      case 2: apply_1q(kY, q); break;
-      case 3: apply_1q(kZ, q); break;
-      default: break;
-    }
-  };
-  apply_pauli(p0, qubit0);
-  apply_pauli(p1, qubit1);
-}
-
-void StateVector::apply_amplitude_damping(int qubit, double gamma, Rng& rng) {
-  expects(gamma >= 0.0 && gamma <= 1.0,
-          "apply_amplitude_damping: gamma outside [0,1]");
-  if (gamma == 0.0) return;
-  // Jump probability = gamma * P(|1>).
-  const double p_jump = gamma * probability_one(qubit);
-  const std::uint64_t bit = std::uint64_t{1} << qubit;
-  if (rng.bernoulli(p_jump)) {
-    // Jump: K1 = sqrt(gamma) |0><1| — move |1> amplitude into |0>.
-    for (std::uint64_t i = 0; i < dimension(); ++i) {
-      if (i & bit) {
-        amps_[i & ~bit] = amps_[i];
-        amps_[i] = Complex{0.0, 0.0};
-      }
-    }
-  } else {
-    // No jump: K0 = diag(1, sqrt(1-gamma)).
-    const double damp = std::sqrt(1.0 - gamma);
-    for (std::uint64_t i = 0; i < dimension(); ++i)
-      if (i & bit) amps_[i] *= damp;
-  }
-  normalize();
-}
-
-void StateVector::apply_phase_damping(int qubit, double lambda, Rng& rng) {
-  expects(lambda >= 0.0 && lambda <= 1.0,
-          "apply_phase_damping: lambda outside [0,1]");
-  if (rng.bernoulli(lambda)) apply_1q(gate_z(), qubit);
-}
-
 double pauli_error_prob_from_avg_fidelity(double avg_fidelity,
                                           int num_qubits) {
   expects(num_qubits == 1 || num_qubits == 2,
@@ -393,14 +238,6 @@ double pauli_error_prob_from_avg_fidelity(double avg_fidelity,
   const double d = num_qubits == 1 ? 2.0 : 4.0;
   const double process_fidelity = ((d + 1.0) * avg_fidelity - 1.0) / d;
   return std::clamp(1.0 - process_fidelity, 0.0, 1.0);
-}
-
-double avg_fidelity_from_pauli_error_prob(double p, int num_qubits) {
-  expects(num_qubits == 1 || num_qubits == 2,
-          "avg_fidelity_from_pauli_error_prob: only 1- and 2-qubit gates");
-  const double d = num_qubits == 1 ? 2.0 : 4.0;
-  const double process_fidelity = 1.0 - p;
-  return (d * process_fidelity + 1.0) / (d + 1.0);
 }
 
 }  // namespace hpcqc::qsim

@@ -215,39 +215,6 @@ struct DeadLetterRecord {
   obs::TraceContext trace{};  ///< root span context of the failed run
 };
 
-/// Aggregate throughput / quality metrics of a QRM run.
-struct QrmMetrics {
-  std::size_t jobs_completed = 0;
-  std::size_t total_shots = 0;
-  /// Fidelity-weighted shots: sum over jobs of shots x estimated circuit
-  /// fidelity — the "useful work" measure the calibration-policy ablation
-  /// compares.
-  double good_shots = 0.0;
-  Seconds busy_time = 0.0;
-  Seconds calibration_time = 0.0;
-  Seconds benchmark_time = 0.0;
-  Seconds mean_wait = 0.0;
-
-  std::size_t jobs_failed = 0;      ///< dead-lettered (budget exhausted)
-  std::size_t jobs_cancelled = 0;
-  std::size_t retries = 0;          ///< failed attempts that were rescheduled
-  std::size_t execution_faults = 0;  ///< injected device faults observed
-  std::size_t calibrations_failed = 0;
-
-  std::size_t jobs_rejected_overload = 0;  ///< refused: queue/rate/brownout
-  std::size_t jobs_rejected_too_wide = 0;  ///< refused: exceeds healthy set
-  std::size_t jobs_shed = 0;               ///< brownout victims
-  /// Scheduler passes that skipped a queued job because its circuit touches
-  /// currently-masked hardware (observations, not distinct jobs).
-  std::size_t degraded_holds = 0;
-  std::size_t dead_letters_dropped = 0;  ///< DLQ overflow beyond capacity
-  std::size_t jobs_migrated_out = 0;  ///< extracted for a healthy peer
-  std::size_t jobs_migrated_in = 0;   ///< admitted from a migrating peer
-  std::size_t dead_letters_drained = 0;  ///< records handed out for replay
-
-  bool operator==(const QrmMetrics&) const = default;
-};
-
 /// Audit that no submitted job was silently lost: every id is in exactly one
 /// state, and after a drain every state is terminal. Read from the per-state
 /// ledger that every job-state change moves; tests cross-check it against a
@@ -495,10 +462,6 @@ public:
   std::vector<DeadLetterRecord> drain_dead_letters();
 
   const QuantumJobRecord& record(int id) const;
-  /// Legacy aggregate view, reconstructed from the metrics registry (plus
-  /// mean_wait from the job records). Kept as a shim so pre-registry
-  /// callers and tests keep working unchanged.
-  QrmMetrics metrics() const;
   const std::vector<DeadLetterRecord>& dead_letters() const {
     return dead_letters_;
   }

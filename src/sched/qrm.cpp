@@ -1242,40 +1242,4 @@ const QuantumJobRecord& Qrm::record(int id) const {
   return it->second;
 }
 
-QrmMetrics Qrm::metrics() const {
-  const auto entered = [this](QuantumJobState state) {
-    return m_entered_[static_cast<std::size_t>(state)]->count();
-  };
-  QrmMetrics metrics;
-  metrics.jobs_completed = entered(QuantumJobState::kCompleted);
-  metrics.total_shots = m_total_shots_->count();
-  metrics.good_shots = m_good_shots_->value();
-  metrics.busy_time = m_busy_time_->value();
-  metrics.calibration_time = m_calibration_time_->value();
-  metrics.benchmark_time = m_benchmark_time_->value();
-  metrics.jobs_failed = entered(QuantumJobState::kFailed);
-  metrics.jobs_cancelled = entered(QuantumJobState::kCancelled);
-  metrics.retries = entered(QuantumJobState::kRetrying);
-  metrics.execution_faults = m_execution_faults_->count();
-  metrics.calibrations_failed = m_calibrations_failed_->count();
-  metrics.jobs_rejected_overload = entered(QuantumJobState::kRejectedOverload);
-  metrics.jobs_rejected_too_wide = entered(QuantumJobState::kRejectedTooWide);
-  metrics.jobs_shed = entered(QuantumJobState::kShed);
-  metrics.degraded_holds = m_degraded_holds_->count();
-  metrics.dead_letters_dropped = m_dead_letters_dropped_->count();
-  metrics.jobs_migrated_out = entered(QuantumJobState::kMigrated);
-  metrics.jobs_migrated_in = m_migrated_in_->count();
-  metrics.dead_letters_drained = m_dead_letters_drained_->count();
-  Seconds total_wait = 0.0;
-  std::size_t n = 0;
-  for (const auto& [id, record] : records_) {
-    if (record.state == QuantumJobState::kCompleted) {
-      total_wait += record.wait_time();
-      ++n;
-    }
-  }
-  metrics.mean_wait = n == 0 ? 0.0 : total_wait / static_cast<double>(n);
-  return metrics;
-}
-
 }  // namespace hpcqc::sched

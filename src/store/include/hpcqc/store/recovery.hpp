@@ -25,13 +25,15 @@ struct RecoveryStats {
 
 /// Rebuilds a durable image from a WAL: load the last snapshot (if any),
 /// replay every intact journal record after it, scrub records whose
-/// admission outcome was torn off the tail. Exactly-once contract: a job
-/// that is terminal in the recovered image is never re-executed; in-flight
-/// attempts are requeued at the head (set_offline semantics), so at most the
-/// unacknowledged suffix of work is repeated.
+/// admission outcome was torn off the tail. restore() then cuts the torn
+/// tail off the log (Wal::trim_torn_tail), so what the recovered control
+/// plane journals stays visible to the next recovery. Exactly-once
+/// contract: a job that is terminal in the recovered image is never
+/// re-executed; in-flight attempts are requeued at the head (set_offline
+/// semantics), so at most the unacknowledged suffix of work is repeated.
 class Recovery {
 public:
-  explicit Recovery(const WalBackend& backend,
+  explicit Recovery(WalBackend& backend,
                     obs::MetricsRegistry* metrics = nullptr,
                     obs::Tracer* tracer = nullptr);
 
@@ -44,10 +46,10 @@ public:
   /// never journaled an event.
   sched::FleetDurableState recover_fleet(std::size_t min_devices = 0);
 
-  /// recover_* + restore_durable + metrics (store.recovery.*) + a
-  /// "recovery" span with snapshot-load / journal-replay children. Attach
-  /// the tracer to the target *before* calling restore so recovered jobs
-  /// get fresh spans.
+  /// recover_* + torn-tail trim + restore_durable + metrics
+  /// (store.recovery.*) + a "recovery" span with snapshot-load /
+  /// journal-replay children. Attach the tracer to the target *before*
+  /// calling restore so recovered jobs get fresh spans.
   RecoveryStats restore(sched::Qrm& qrm);
   RecoveryStats restore(sched::Fleet& fleet);
 
@@ -55,9 +57,13 @@ public:
   const RecoveryStats& stats() const { return stats_; }
 
 private:
+  /// Scans the log: resets stats_ to what the scan dropped and keeps the
+  /// torn-tail position for restore's trim.
+  std::vector<WalRecord> scan();
   void finish(const sched::RestoreSummary& summary);
 
-  const WalBackend* backend_;
+  WalBackend* backend_;
+  WalScan tail_;  ///< the last scan, without its records
   obs::MetricsRegistry* metrics_ = nullptr;
   obs::Tracer* tracer_ = nullptr;
   RecoveryStats stats_;

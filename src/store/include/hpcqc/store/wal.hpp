@@ -20,6 +20,7 @@ struct WalRecord {
   std::uint64_t lsn = 0;  ///< log sequence number, strictly increasing
   std::uint8_t type = 0;  ///< RecordType (see journal.hpp)
   std::vector<std::uint8_t> payload;
+  std::uint64_t segment = 0;  ///< id of the segment holding the record
 };
 
 /// Storage behind a Wal: an ordered set of append-only segments. Exactly one
@@ -36,6 +37,10 @@ public:
   virtual void open_segment(std::uint64_t id) = 0;
   virtual void append(const std::uint8_t* data, std::size_t size) = 0;
   virtual void remove_segment(std::uint64_t id) = 0;
+  /// Shortens segment `id` to its first `size` bytes (no-op when it is not
+  /// longer). The cut is one step: a crash during it leaves the old length
+  /// or the new one, and never touches the bytes before `size`.
+  virtual void truncate_segment(std::uint64_t id, std::size_t size) = 0;
 };
 
 /// Deterministic in-memory backend with crash hooks: tests simulate a
@@ -48,6 +53,7 @@ public:
   void open_segment(std::uint64_t id) override;
   void append(const std::uint8_t* data, std::size_t size) override;
   void remove_segment(std::uint64_t id) override;
+  void truncate_segment(std::uint64_t id, std::size_t size) override;
 
   /// Total bytes across all segments (in id order).
   std::size_t total_bytes() const;
@@ -75,6 +81,8 @@ public:
   void open_segment(std::uint64_t id) override;
   void append(const std::uint8_t* data, std::size_t size) override;
   void remove_segment(std::uint64_t id) override;
+  /// One ftruncate of the segment file.
+  void truncate_segment(std::uint64_t id, std::size_t size) override;
 
   const std::string& directory() const { return directory_; }
 
@@ -95,6 +103,10 @@ struct WalScan {
   std::vector<WalRecord> records;
   std::size_t dropped_bytes = 0;
   bool torn = false;
+  /// When torn: the segment holding the first bad frame, and how many of
+  /// its bytes come before that frame.
+  std::uint64_t torn_segment = 0;
+  std::size_t torn_offset = 0;
 };
 
 /// Write-ahead log over a backend: CRC32-framed, length-prefixed records
@@ -135,6 +147,16 @@ public:
 
   /// Decodes every intact record across all segments of `backend`.
   static WalScan scan(const WalBackend& backend);
+
+  /// Cuts the torn tail `scan` found off `backend`. Until then the bad
+  /// frame ends every later scan, hiding whatever is journaled after
+  /// recovery. Empties every segment after the torn one, last first, then
+  /// shortens the torn segment to its intact prefix; later segments are
+  /// emptied rather than removed, so a Wal already appending to one keeps
+  /// it. Only bytes at or after the bad frame go, so a crash mid-trim loses
+  /// no intact record: the next scan finds the same bad frame or none.
+  /// No-op when `scan` is not torn.
+  static void trim_torn_tail(WalBackend& backend, const WalScan& scan);
 
 private:
   struct SegmentMeta {

@@ -195,20 +195,24 @@ void rebuild_manifest(sched::QrmDurableState& img) {
 
 }  // namespace
 
-Recovery::Recovery(const WalBackend& backend, obs::MetricsRegistry* metrics,
+Recovery::Recovery(WalBackend& backend, obs::MetricsRegistry* metrics,
                    obs::Tracer* tracer)
     : backend_(&backend), metrics_(metrics), tracer_(tracer) {}
 
-sched::QrmDurableState Recovery::recover_qrm() {
+std::vector<WalRecord> Recovery::scan() {
+  tail_ = Wal::scan(*backend_);
   stats_ = RecoveryStats{};
-  const WalScan scan = Wal::scan(*backend_);
-  stats_.dropped_bytes = scan.dropped_bytes;
-  stats_.torn_tail = scan.torn;
+  stats_.dropped_bytes = tail_.dropped_bytes;
+  stats_.torn_tail = tail_.torn;
+  return std::exchange(tail_.records, {});
+}
 
+sched::QrmDurableState Recovery::recover_qrm() {
+  const std::vector<WalRecord> records = scan();
   sched::QrmDurableState img;
   std::size_t start = 0;
-  for (std::size_t i = 0; i < scan.records.size(); ++i) {
-    const WalRecord& record = scan.records[i];
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    const WalRecord& record = records[i];
     if (record.type != static_cast<std::uint8_t>(RecordType::kSnapshot))
       continue;
     if (snapshot_scope(record.payload) != SnapshotScope::kQrm) continue;
@@ -217,8 +221,8 @@ sched::QrmDurableState Recovery::recover_qrm() {
     stats_.had_snapshot = true;
     start = i + 1;
   }
-  for (std::size_t i = start; i < scan.records.size(); ++i) {
-    const WalRecord& record = scan.records[i];
+  for (std::size_t i = start; i < records.size(); ++i) {
+    const WalRecord& record = records[i];
     if (record.type == static_cast<std::uint8_t>(RecordType::kJobEvent)) {
       apply_job_event(img, decode_job_event(record.payload));
       stats_.replayed += 1;
@@ -231,15 +235,11 @@ sched::QrmDurableState Recovery::recover_qrm() {
 }
 
 sched::FleetDurableState Recovery::recover_fleet(std::size_t min_devices) {
-  stats_ = RecoveryStats{};
-  const WalScan scan = Wal::scan(*backend_);
-  stats_.dropped_bytes = scan.dropped_bytes;
-  stats_.torn_tail = scan.torn;
-
+  const std::vector<WalRecord> records = scan();
   sched::FleetDurableState img;
   std::size_t start = 0;
-  for (std::size_t i = 0; i < scan.records.size(); ++i) {
-    const WalRecord& record = scan.records[i];
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    const WalRecord& record = records[i];
     if (record.type != static_cast<std::uint8_t>(RecordType::kSnapshot))
       continue;
     if (snapshot_scope(record.payload) != SnapshotScope::kFleet) continue;
@@ -248,8 +248,8 @@ sched::FleetDurableState Recovery::recover_fleet(std::size_t min_devices) {
     stats_.had_snapshot = true;
     start = i + 1;
   }
-  for (std::size_t i = start; i < scan.records.size(); ++i) {
-    const WalRecord& record = scan.records[i];
+  for (std::size_t i = start; i < records.size(); ++i) {
+    const WalRecord& record = records[i];
     if (record.type == static_cast<std::uint8_t>(RecordType::kJobEvent)) {
       const JobEventRecord ev = decode_job_event(record.payload);
       expects(ev.device >= 0, "recovery: fleet journal event without tag");
@@ -273,14 +273,19 @@ sched::FleetDurableState Recovery::recover_fleet(std::size_t min_devices) {
   return img;
 }
 
+// Both restores trim before the restored plane journals anything: the trim
+// empties every segment after the torn one, including the open segment of
+// a Wal created before recovery.
 RecoveryStats Recovery::restore(sched::Qrm& qrm) {
   const sched::QrmDurableState img = recover_qrm();
+  Wal::trim_torn_tail(*backend_, tail_);
   finish(qrm.restore_durable(img));
   return stats_;
 }
 
 RecoveryStats Recovery::restore(sched::Fleet& fleet) {
   const sched::FleetDurableState img = recover_fleet(fleet.num_devices());
+  Wal::trim_torn_tail(*backend_, tail_);
   finish(fleet.restore_durable(img));
   return stats_;
 }

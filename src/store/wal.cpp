@@ -70,6 +70,13 @@ void MemoryWalBackend::remove_segment(std::uint64_t id) {
   if (has_current_ && id == current_) has_current_ = false;
 }
 
+void MemoryWalBackend::truncate_segment(std::uint64_t id, std::size_t size) {
+  const auto it = store_.find(id);
+  if (it == store_.end())
+    throw NotFoundError("MemoryWalBackend: no segment " + std::to_string(id));
+  if (it->second.size() > size) it->second.resize(size);
+}
+
 std::size_t MemoryWalBackend::total_bytes() const {
   std::size_t total = 0;
   for (const auto& [id, bytes] : store_) total += bytes.size();
@@ -158,6 +165,14 @@ void FileWalBackend::remove_segment(std::uint64_t id) {
   if (has_current_ && id == current_) has_current_ = false;
 }
 
+void FileWalBackend::truncate_segment(std::uint64_t id, std::size_t size) {
+  const std::string path = segment_path(id);
+  if (!std::filesystem::exists(path))
+    throw NotFoundError("FileWalBackend: no segment " + std::to_string(id));
+  if (std::filesystem::file_size(path) > size)
+    std::filesystem::resize_file(path, size);
+}
+
 // ------------------------------------------------------------------- wal --
 
 Wal::Wal(WalBackend& backend) : Wal(backend, Config{}) {}
@@ -169,31 +184,20 @@ Wal::Wal(WalBackend& backend, Config config, obs::MetricsRegistry* metrics)
     m_appended_ = &metrics->counter("store.wal.appended");
     m_bytes_ = &metrics->counter("store.wal.bytes");
   }
-  // Continue the LSN sequence past everything intact on disk, and index the
-  // surviving segments so truncate_below can drop them once replayed.
+  // Continue the LSN sequence past everything intact on disk, and index
+  // which segment each record landed in so truncate_below can drop the
+  // segments once replayed. Segments past a torn frame hold no trusted
+  // record; they are indexed empty.
   std::uint64_t max_segment = 0;
-  for (const std::uint64_t id : backend_->segments())
-    max_segment = std::max(max_segment, id);
-  const WalScan scan_result = scan(*backend_);
-  for (const WalRecord& record : scan_result.records)
-    next_lsn_ = std::max(next_lsn_, record.lsn + 1);
-  // Index which segment each record landed in (re-walk per segment).
   for (const std::uint64_t id : backend_->segments()) {
-    const std::vector<std::uint8_t> bytes = backend_->read_segment(id);
-    SegmentMeta m;
-    std::size_t pos = 0;
-    while (bytes.size() - pos >= kFrameHeader) {
-      ByteReader header(bytes.data() + pos, kFrameHeader);
-      const std::uint32_t len = header.u32();
-      const std::uint32_t crc = header.u32();
-      if (len < 9 || bytes.size() - pos - kFrameHeader < len) break;
-      if (crc32(bytes.data() + pos + kFrameHeader, len) != crc) break;
-      ByteReader body(bytes.data() + pos + kFrameHeader, len);
-      m.max_lsn = std::max(m.max_lsn, body.u64());
-      m.any = true;
-      pos += kFrameHeader + len;
-    }
-    meta_[id] = m;
+    max_segment = std::max(max_segment, id);
+    meta_[id] = SegmentMeta{};
+  }
+  for (const WalRecord& record : scan(*backend_).records) {
+    next_lsn_ = std::max(next_lsn_, record.lsn + 1);
+    SegmentMeta& m = meta_[record.segment];
+    m.max_lsn = std::max(m.max_lsn, record.lsn);
+    m.any = true;
   }
   // Never append after a possibly-torn tail: always start a fresh segment.
   current_segment_ = max_segment + 1;
@@ -288,14 +292,28 @@ WalScan Wal::scan(const WalBackend& backend) {
       record.type = body.u8();
       record.payload.assign(bytes.data() + pos + kFrameHeader + 9,
                             bytes.data() + pos + kFrameHeader + len);
+      record.segment = id;
       result.records.push_back(std::move(record));
       pos += kFrameHeader + len;
     }
-    if (stopped) dropped += bytes.size() - pos;
+    if (stopped) {
+      dropped += bytes.size() - pos;
+      result.torn_segment = id;
+      result.torn_offset = pos;
+    }
   }
   result.dropped_bytes = dropped;
   result.torn = stopped && dropped > 0;
   return result;
+}
+
+void Wal::trim_torn_tail(WalBackend& backend, const WalScan& scan) {
+  if (!scan.torn) return;
+  std::vector<std::uint64_t> ids = backend.segments();
+  for (auto it = ids.rbegin(); it != ids.rend() && *it > scan.torn_segment;
+       ++it)
+    backend.truncate_segment(*it, 0);
+  backend.truncate_segment(scan.torn_segment, scan.torn_offset);
 }
 
 }  // namespace hpcqc::store

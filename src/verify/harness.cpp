@@ -345,14 +345,14 @@ MaskedFuzzReport run_masked_topology_fuzz(
       try {
         overlay.set_mask(device::HealthMask(topology));
         (void)stale_service.compile_only(circuit);
-        const std::size_t misses_before = stale_service.cache_misses();
+        const std::uint64_t misses_before = stale_service.cache_stats().misses;
         overlay.set_mask(mask);
         const mqss::CompiledProgram remasked =
             stale_service.compile_only(circuit);
         bool layout_healthy = true;
         for (const int q : remasked.initial_layout)
           if (!mask.qubit_up(q)) layout_healthy = false;
-        stale_ok = stale_service.cache_misses() > misses_before &&
+        stale_ok = stale_service.cache_stats().misses > misses_before &&
                    layout_healthy &&
                    mask.circuit_legal(topology, remasked.native_circuit);
       } catch (const std::exception&) {

@@ -318,7 +318,7 @@ TEST(StructureCache, DeviceIdentityPartitionsServiceCacheKeys) {
   ansatz.h(0).ry(circuit::ParamExpr::symbol("a"), 1).cz(0, 1).measure();
 
   service.compile_structure(ansatz);
-  EXPECT_EQ(service.cache_misses(), 1u);
+  EXPECT_EQ(service.cache_stats().misses, 1u);
   service.compile_structure(ansatz);
   EXPECT_EQ(service.cache_stats().hits, 1u);
 
@@ -326,15 +326,15 @@ TEST(StructureCache, DeviceIdentityPartitionsServiceCacheKeys) {
   // identity still misses and compiles its own entry.
   service.set_device_identity("qpu1");
   service.compile_structure(ansatz);
-  EXPECT_EQ(service.cache_misses(), 2u);
-  EXPECT_EQ(service.cache_size(), 2u);
+  EXPECT_EQ(service.cache_stats().misses, 2u);
+  EXPECT_EQ(service.cache_stats().size, 2u);
 
   // Restoring the identity restores its entry: the key is a pure function
   // of (structure, device state, options, identity).
   service.set_device_identity("qpu0");
   service.compile_structure(ansatz);
   EXPECT_EQ(service.cache_stats().hits, 2u);
-  EXPECT_EQ(service.cache_size(), 2u);
+  EXPECT_EQ(service.cache_stats().size, 2u);
 }
 
 }  // namespace

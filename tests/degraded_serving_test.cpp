@@ -31,14 +31,19 @@
 namespace hpcqc {
 namespace {
 
+std::uint64_t count(const obs::MetricsSnapshot& snapshot,
+                    const std::string& name) {
+  return static_cast<std::uint64_t>(snapshot.counter(name)->value);
+}
+
 /// Everything one degraded-serving campaign produces, for cross-run
 /// comparison.
 struct CampaignOutcome {
   std::string log_text;
   std::string sensor_csv;  ///< all "resilience.*" series
-  sched::QrmMetrics metrics;
+  obs::MetricsSnapshot metrics;     ///< the QRM's registry
   sched::JobConservation audit;
-  ops::ResilienceStats stats;
+  obs::MetricsSnapshot resilience;  ///< the supervisor's registry
   std::vector<sched::QuantumJobState> final_states;  ///< workload jobs
   sched::QuantumJobState wide_job_state = sched::QuantumJobState::kQueued;
   double min_healthy_qubits = 0.0;
@@ -179,9 +184,9 @@ CampaignOutcome run_campaign(std::uint64_t seed) {
   std::ostringstream csv;
   store.export_csv(csv, "resilience");
   outcome.sensor_csv = csv.str();
-  outcome.metrics = qrm.metrics();
+  outcome.metrics = qrm.metrics_registry().snapshot();
   outcome.audit = qrm.conservation();
-  outcome.stats = supervisor.stats();
+  outcome.resilience = supervisor.metrics_registry().snapshot();
   for (const int id : ids) outcome.final_states.push_back(qrm.record(id).state);
   outcome.wide_job_state = qrm.record(wide_id).state;
   const auto healthy =
@@ -213,20 +218,23 @@ TEST(DegradedServingCampaign, MaskedServingConservesJobsAndRecovers) {
   EXPECT_TRUE(outcome.audit.holds());
   EXPECT_EQ(outcome.audit.in_flight, 0u);
   // Submitted = workload jobs + the wide job + every flood submission.
-  EXPECT_EQ(outcome.audit.submitted, outcome.final_states.size() + 1 +
-                                         outcome.stats.flood_jobs_submitted);
+  EXPECT_EQ(outcome.audit.submitted,
+            outcome.final_states.size() + 1 +
+                count(outcome.resilience, "resilience.flood_jobs_submitted"));
 }
 
 TEST(DegradedServingCampaign, AuditCrossChecksTheMetricsCounters) {
   const CampaignOutcome outcome = run_campaign(7);
-  EXPECT_EQ(outcome.audit.completed, outcome.metrics.jobs_completed);
-  EXPECT_EQ(outcome.audit.failed, outcome.metrics.jobs_failed);
-  EXPECT_EQ(outcome.audit.cancelled, outcome.metrics.jobs_cancelled);
+  EXPECT_EQ(outcome.audit.completed,
+            count(outcome.metrics, "qrm.jobs_completed"));
+  EXPECT_EQ(outcome.audit.failed, count(outcome.metrics, "qrm.jobs_failed"));
+  EXPECT_EQ(outcome.audit.cancelled,
+            count(outcome.metrics, "qrm.jobs_cancelled"));
   EXPECT_EQ(outcome.audit.rejected_overload,
-            outcome.metrics.jobs_rejected_overload);
+            count(outcome.metrics, "qrm.jobs_rejected_overload"));
   EXPECT_EQ(outcome.audit.rejected_too_wide,
-            outcome.metrics.jobs_rejected_too_wide);
-  EXPECT_EQ(outcome.audit.shed, outcome.metrics.jobs_shed);
+            count(outcome.metrics, "qrm.jobs_rejected_too_wide"));
+  EXPECT_EQ(outcome.audit.shed, count(outcome.metrics, "qrm.jobs_shed"));
 }
 
 TEST(DegradedServingCampaign, WorkloadSurvivesWhileOverloadIsRefused) {
@@ -245,8 +253,8 @@ TEST(DegradedServingCampaign, WorkloadSurvivesWhileOverloadIsRefused) {
 
   // The flood was partially admitted (and those jobs completed), partially
   // refused or shed — admission control actually bit.
-  EXPECT_GT(outcome.stats.flood_jobs_submitted, 0u);
-  EXPECT_GT(outcome.stats.flood_jobs_rejected, 0u);
+  EXPECT_GT(count(outcome.resilience, "resilience.flood_jobs_submitted"), 0u);
+  EXPECT_GT(count(outcome.resilience, "resilience.flood_jobs_rejected"), 0u);
   EXPECT_GT(outcome.audit.rejected_overload, 0u);
   EXPECT_GT(outcome.audit.shed, 0u);
   EXPECT_GT(outcome.audit.completed, outcome.final_states.size());
@@ -258,15 +266,17 @@ TEST(DegradedServingCampaign, AvailabilityStaysAboveTheFloorAndRecovers) {
   // Partial degrades only: the healthy-qubit gauge dips but never below the
   // configured floor, and every masked element came back after its
   // targeted recalibration.
-  EXPECT_GE(outcome.stats.qubit_dropouts, 2u);
-  EXPECT_EQ(outcome.stats.coupler_dropouts, 1u);
-  EXPECT_EQ(outcome.stats.targeted_recals,
-            outcome.stats.qubit_dropouts + outcome.stats.coupler_dropouts);
+  EXPECT_GE(count(outcome.resilience, "resilience.qubit_dropouts"), 2u);
+  EXPECT_EQ(count(outcome.resilience, "resilience.coupler_dropouts"), 1u);
+  EXPECT_EQ(count(outcome.resilience, "resilience.targeted_recals"),
+            count(outcome.resilience, "resilience.qubit_dropouts") +
+                count(outcome.resilience, "resilience.coupler_dropouts"));
   EXPECT_LT(outcome.min_healthy_qubits, 20.0);  // it really dipped
   EXPECT_GE(outcome.min_healthy_qubits, 17.0);  // availability floor
   EXPECT_EQ(outcome.final_healthy_qubits, 20.0);
   EXPECT_TRUE(outcome.all_healthy_at_end);
-  EXPECT_EQ(outcome.stats.outages, 0u);  // no whole-device outage
+  // No whole-device outage.
+  EXPECT_EQ(count(outcome.resilience, "resilience.outages"), 0u);
 
   // Ops saw it: the degraded-capacity alert raised and cleared, and the
   // brownout shedding alert raised and cleared.
@@ -283,8 +293,7 @@ TEST(DegradedServingCampaign, SameSeedGivesBitIdenticalLogsAndSensors) {
   EXPECT_EQ(a.sensor_csv, b.sensor_csv);
   EXPECT_TRUE(a.metrics == b.metrics);
   EXPECT_EQ(a.final_states, b.final_states);
-  EXPECT_EQ(a.stats.flood_jobs_submitted, b.stats.flood_jobs_submitted);
-  EXPECT_EQ(a.stats.targeted_recals, b.stats.targeted_recals);
+  EXPECT_TRUE(a.resilience == b.resilience);
 
   const CampaignOutcome c = run_campaign(8);
   EXPECT_NE(a.log_text, c.log_text);
@@ -310,11 +319,12 @@ TEST(DegradedServingCampaign, ChaosSeedSweepHoldsTheInvariants) {
     // Degraded serving, never a whole-device outage: the healthy-qubit
     // gauge dips but stays above the floor, and every masked element is
     // back by the end of the campaign.
-    EXPECT_EQ(outcome.stats.outages, 0u);
+    EXPECT_EQ(count(outcome.resilience, "resilience.outages"), 0u);
     EXPECT_LT(outcome.min_healthy_qubits, 20.0);
     EXPECT_GE(outcome.min_healthy_qubits, 15.0);
-    EXPECT_EQ(outcome.stats.targeted_recals,
-              outcome.stats.qubit_dropouts + outcome.stats.coupler_dropouts);
+    EXPECT_EQ(count(outcome.resilience, "resilience.targeted_recals"),
+              count(outcome.resilience, "resilience.qubit_dropouts") +
+                  count(outcome.resilience, "resilience.coupler_dropouts"));
     EXPECT_TRUE(outcome.all_healthy_at_end);
 
     // The workload completed despite the chaos.
@@ -340,6 +350,7 @@ TEST(DegradedServingCampaign, DeterministicAcrossThreadCounts) {
   EXPECT_EQ(one.log_text, many.log_text);
   EXPECT_EQ(one.sensor_csv, many.sensor_csv);
   EXPECT_TRUE(one.metrics == many.metrics);
+  EXPECT_TRUE(one.resilience == many.resilience);
   EXPECT_EQ(one.final_states, many.final_states);
 }
 #endif

@@ -92,42 +92,6 @@ TEST(DensityMatrix, PhaseDampingKillsCoherenceKeepsPopulations) {
   EXPECT_NEAR(rho.probabilities()[1], 0.5, 1e-12);
 }
 
-TEST(DensityMatrix, TrajectoryAverageConvergesToChannel) {
-  // The validation this class exists for: averaging StateVector noise
-  // trajectories reproduces the exact channel.
-  const double p = 0.2;
-  const double gamma = 0.15;
-
-  DensityMatrix exact(2);
-  exact.apply_1q(gate_h(), 0);
-  exact.apply_2q(gate_cx(), 0, 1);
-  exact.apply_depolarizing(0, p);
-  exact.apply_amplitude_damping(1, gamma);
-  const auto exact_probs = exact.probabilities();
-  const double exact_zz = exact.expectation_z(0b11);
-
-  Rng rng(7);
-  std::vector<double> avg_probs(4, 0.0);
-  double avg_zz = 0.0;
-  const int trajectories = 40000;
-  for (int t = 0; t < trajectories; ++t) {
-    StateVector psi(2);
-    psi.apply_1q(gate_h(), 0);
-    psi.apply_2q(gate_cx(), 0, 1);
-    psi.apply_pauli_error(0, p, rng);
-    psi.apply_amplitude_damping(1, gamma, rng);
-    const auto probs = psi.probabilities();
-    for (std::size_t i = 0; i < probs.size(); ++i) avg_probs[i] += probs[i];
-    avg_zz += psi.expectation_z(0b11);
-  }
-  for (auto& value : avg_probs) value /= trajectories;
-  avg_zz /= trajectories;
-
-  for (std::size_t i = 0; i < avg_probs.size(); ++i)
-    EXPECT_NEAR(avg_probs[i], exact_probs[i], 0.01) << "outcome " << i;
-  EXPECT_NEAR(avg_zz, exact_zz, 0.01);
-}
-
 TEST(DensityMatrix, Depolarizing2qPreservesTraceAndIsIdentityAtZero) {
   DensityMatrix rho(2);
   rho.apply_1q(gate_h(), 0);
@@ -159,39 +123,6 @@ TEST(DensityMatrix, Depolarizing2qFullStrengthOnGroundState) {
   EXPECT_NEAR(probs[2], 4.0 / 15.0, 1e-12);
   EXPECT_NEAR(probs[3], 4.0 / 15.0, 1e-12);
   EXPECT_NEAR(rho.trace(), 1.0, 1e-12);
-}
-
-TEST(DensityMatrix, TrajectoryAverageConvergesToChannel2q) {
-  // apply_depolarizing_2q is the exact average of the trajectory engine's
-  // stochastic two-qubit Pauli — the identity the differential oracle in
-  // verify/ rests on.
-  const double p = 0.25;
-  DensityMatrix exact(2);
-  exact.apply_1q(gate_h(), 0);
-  exact.apply_2q(gate_cx(), 0, 1);
-  exact.apply_depolarizing_2q(0, 1, p);
-  const auto exact_probs = exact.probabilities();
-  const double exact_zz = exact.expectation_z(0b11);
-
-  Rng rng(9);
-  std::vector<double> avg_probs(4, 0.0);
-  double avg_zz = 0.0;
-  const int trajectories = 40000;
-  for (int t = 0; t < trajectories; ++t) {
-    StateVector psi(2);
-    psi.apply_1q(gate_h(), 0);
-    psi.apply_2q(gate_cx(), 0, 1);
-    psi.apply_pauli_error_2q(0, 1, p, rng);
-    const auto probs = psi.probabilities();
-    for (std::size_t i = 0; i < probs.size(); ++i) avg_probs[i] += probs[i];
-    avg_zz += psi.expectation_z(0b11);
-  }
-  for (auto& value : avg_probs) value /= trajectories;
-  avg_zz /= trajectories;
-
-  for (std::size_t i = 0; i < avg_probs.size(); ++i)
-    EXPECT_NEAR(avg_probs[i], exact_probs[i], 0.01) << "outcome " << i;
-  EXPECT_NEAR(avg_zz, exact_zz, 0.01);
 }
 
 TEST(DensityMatrix, KrausSetMustBeTracePreservingToKeepTrace) {

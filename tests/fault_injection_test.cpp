@@ -93,14 +93,20 @@ TEST(FaultInjector, PollDeliversOnceAndActiveTracksWindows) {
 /// Everything one seeded chaos campaign produces, for cross-run comparison.
 struct CampaignOutcome {
   std::string log_text;
-  sched::QrmMetrics metrics;
+  obs::MetricsSnapshot metrics;     ///< the QRM's registry
+  obs::MetricsSnapshot resilience;  ///< the supervisor's registry
   std::vector<sched::QuantumJobState> final_states;
   std::size_t dead_letters = 0;
-  ops::ResilienceStats stats;
+  std::vector<ops::RecoveryReport> reports;
   telemetry::AvailabilityReport availability;
   bool down_alert_raised = false;
   bool down_alert_cleared = false;
 };
+
+std::uint64_t count(const obs::MetricsSnapshot& snapshot,
+                    const std::string& name) {
+  return static_cast<std::uint64_t>(snapshot.counter(name)->value);
+}
 
 /// A three-day campaign with three injected fault classes: a persistent
 /// device-execution window that exhausts one job's retry budget, a
@@ -191,10 +197,11 @@ CampaignOutcome run_campaign(std::uint64_t seed) {
   std::ostringstream os;
   log.print(os);
   outcome.log_text = os.str();
-  outcome.metrics = qrm.metrics();
+  outcome.metrics = qrm.metrics_registry().snapshot();
   for (const int id : ids) outcome.final_states.push_back(qrm.record(id).state);
   outcome.dead_letters = qrm.dead_letters().size();
-  outcome.stats = supervisor.stats();
+  outcome.resilience = supervisor.metrics_registry().snapshot();
+  outcome.reports = supervisor.reports();
   outcome.availability =
       telemetry::availability_from_store(store, "resilience.qpu_online", 0.0,
                                          days(3.0));
@@ -222,21 +229,23 @@ TEST(FaultInjectionCampaign, RetriesDeadLettersAndRecoversFromOutage) {
     }
   }
   EXPECT_EQ(outcome.dead_letters, 1u);
-  EXPECT_EQ(outcome.metrics.jobs_failed, 1u);
-  EXPECT_EQ(outcome.metrics.jobs_completed, 7u);
-  EXPECT_GE(outcome.metrics.retries, 2u);
-  EXPECT_GE(outcome.metrics.execution_faults, 3u);
-  EXPECT_GE(outcome.metrics.calibrations_failed, 1u);
+  EXPECT_EQ(count(outcome.metrics, "qrm.jobs_failed"), 1u);
+  EXPECT_EQ(count(outcome.metrics, "qrm.jobs_completed"), 7u);
+  EXPECT_GE(count(outcome.metrics, "qrm.retries"), 2u);
+  EXPECT_GE(count(outcome.metrics, "qrm.execution_faults"), 3u);
+  EXPECT_GE(count(outcome.metrics, "qrm.calibrations_failed"), 1u);
 
   // The thermal excursion drove one full outage -> recovery cycle, and the
   // excursion went warm enough to need a full recalibration.
-  EXPECT_EQ(outcome.stats.outages, 1u);
-  ASSERT_EQ(outcome.stats.recoveries, 1u);
-  EXPECT_GT(outcome.stats.total_downtime, hours(2.0));
-  ASSERT_EQ(outcome.stats.reports.size(), 1u);
-  EXPECT_GT(outcome.stats.reports[0].peak_temperature, 1.0);
-  EXPECT_FALSE(outcome.stats.reports[0].calibration_preserved);
-  EXPECT_EQ(outcome.stats.reports[0].calibration_used,
+  const Seconds downtime =
+      outcome.resilience.counter("resilience.downtime_s")->value;
+  EXPECT_EQ(count(outcome.resilience, "resilience.outages"), 1u);
+  ASSERT_EQ(count(outcome.resilience, "resilience.recoveries"), 1u);
+  EXPECT_GT(downtime, hours(2.0));
+  ASSERT_EQ(outcome.reports.size(), 1u);
+  EXPECT_GT(outcome.reports[0].peak_temperature, 1.0);
+  EXPECT_FALSE(outcome.reports[0].calibration_preserved);
+  EXPECT_EQ(outcome.reports[0].calibration_used,
             calibration::CalibrationKind::kFull);
 
   // Availability + MTTR through the telemetry layer agree with the
@@ -245,7 +254,7 @@ TEST(FaultInjectionCampaign, RetriesDeadLettersAndRecoversFromOutage) {
   EXPECT_GT(outcome.availability.availability(), 0.3);
   EXPECT_LT(outcome.availability.availability(), 0.95);
   EXPECT_NEAR(outcome.availability.downtime,
-              std::min(outcome.stats.total_downtime, days(3.0) - hours(30.0)),
+              std::min(downtime, days(3.0) - hours(30.0)),
               hours(1.0));
   EXPECT_GT(outcome.availability.mttr(), 0.0);
 
@@ -259,8 +268,8 @@ TEST(FaultInjectionCampaign, SameSeedGivesBitIdenticalLogsAndMetrics) {
   const CampaignOutcome b = run_campaign(7);
   EXPECT_EQ(a.log_text, b.log_text);
   EXPECT_TRUE(a.metrics == b.metrics);
+  EXPECT_TRUE(a.resilience == b.resilience);
   EXPECT_EQ(a.final_states, b.final_states);
-  EXPECT_EQ(a.stats.total_downtime, b.stats.total_downtime);
   EXPECT_EQ(a.availability.downtime, b.availability.downtime);
 
   const CampaignOutcome c = run_campaign(8);
@@ -277,8 +286,8 @@ TEST(FaultInjectionCampaign, DeterministicAcrossThreadCounts) {
   omp_set_num_threads(original);
   EXPECT_EQ(one.log_text, many.log_text);
   EXPECT_TRUE(one.metrics == many.metrics);
+  EXPECT_TRUE(one.resilience == many.resilience);
   EXPECT_EQ(one.final_states, many.final_states);
-  EXPECT_EQ(one.stats.total_downtime, many.stats.total_downtime);
 }
 #endif
 

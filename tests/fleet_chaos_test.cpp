@@ -44,13 +44,19 @@ struct CampaignOutcome {
   sched::JobConservation fleet_audit;
   std::vector<sched::JobConservation> device_audits;
   ops::FleetResilienceStats stats;
-  std::vector<ops::ResilienceStats> device_stats;
+  /// Each device supervisor's resilience.* series.
+  std::vector<obs::MetricsSnapshot> device_resilience;
   std::vector<sched::QuantumJobState> final_states;
   std::vector<std::size_t> final_migrations;
   telemetry::FleetAvailabilityReport availability;
   int downed_device = -1;
   std::size_t stranded_on_downed = 0;  ///< jobs owned by it when it tripped
 };
+
+std::uint64_t count(const obs::MetricsSnapshot& snapshot,
+                    const std::string& name) {
+  return static_cast<std::uint64_t>(snapshot.counter(name)->value);
+}
 
 /// A three-day campaign over three 20-qubit devices. At hour 4 a shared
 /// cryo plant trips device 0 into a two-hour outage whose staging (warm-up,
@@ -137,7 +143,8 @@ CampaignOutcome run_campaign(std::uint64_t seed) {
   for (int d = 0; d < kDevices; ++d) {
     sched::expect_ledger_matches_records(fleet.qrm(d));
     outcome.device_audits.push_back(fleet.qrm(d).conservation());
-    outcome.device_stats.push_back(supervisor.device_stats(d));
+    outcome.device_resilience.push_back(
+        supervisor.supervisor(d).metrics_registry().snapshot("resilience."));
   }
   outcome.stats = supervisor.stats();
   for (const int id : ids) {
@@ -157,12 +164,14 @@ TEST(FleetChaosCampaign, OutageStrandsNothingAndConservesJobsFleetWide) {
 
   // The plant trip really took device 0 through an outage.
   ASSERT_EQ(outcome.downed_device, 0);
-  EXPECT_GE(outcome.device_stats[0].outages, 1u);
-  EXPECT_GE(outcome.device_stats[0].recoveries, 1u);
-  EXPECT_GT(outcome.device_stats[0].total_downtime, 0.0);
+  EXPECT_GE(count(outcome.device_resilience[0], "resilience.outages"), 1u);
+  EXPECT_GE(count(outcome.device_resilience[0], "resilience.recoveries"), 1u);
+  EXPECT_GT(
+      outcome.device_resilience[0].counter("resilience.downtime_s")->value,
+      0.0);
   // The peers rode through untouched.
-  EXPECT_EQ(outcome.device_stats[1].outages, 0u);
-  EXPECT_EQ(outcome.device_stats[2].outages, 0u);
+  EXPECT_EQ(count(outcome.device_resilience[1], "resilience.outages"), 0u);
+  EXPECT_EQ(count(outcome.device_resilience[2], "resilience.outages"), 0u);
 
   // Work was stranded on the downed device and every stranded job was
   // migrated (or dead-lettered) — none waited out the outage in place.
@@ -215,8 +224,10 @@ TEST(FleetChaosCampaign, FleetAvailabilityBeatsTheSingleDeviceBaseline) {
   // within one coordination step: the supervisor books downtime against the
   // exact recovery completion time, while the online sensor only flips at
   // the next campaign step.
-  EXPECT_NEAR(outcome.availability.devices[0].downtime,
-              outcome.device_stats[0].total_downtime, minutes(15.0) + 1.0);
+  EXPECT_NEAR(
+      outcome.availability.devices[0].downtime,
+      outcome.device_resilience[0].counter("resilience.downtime_s")->value,
+      minutes(15.0) + 1.0);
 }
 
 TEST(FleetChaosCampaign, SameSeedGivesBitIdenticalCampaigns) {
@@ -252,7 +263,7 @@ TEST(FleetChaosCampaign, ChaosSeedSweepHoldsTheInvariants) {
     for (const auto state : outcome.final_states)
       EXPECT_TRUE(is_terminal(state));
 
-    EXPECT_GE(outcome.device_stats[0].outages, 1u);
+    EXPECT_GE(count(outcome.device_resilience[0], "resilience.outages"), 1u);
     EXPECT_GT(outcome.availability.fleet_availability(),
               outcome.availability.devices[0].availability());
     EXPECT_EQ(outcome.availability.all_down, 0.0);

@@ -266,8 +266,14 @@ TEST_F(FleetTest, OfflineDeviceMigratesItsQueueToPeers) {
     EXPECT_EQ(fleet.qrm(down).record(record.hops[0].second).state,
               QuantumJobState::kMigrated);
   }
-  EXPECT_GE(fleet.qrm(down).metrics().jobs_migrated_out, queued.size());
-  EXPECT_GE(fleet.qrm(survivor).metrics().jobs_migrated_in, queued.size());
+  EXPECT_GE(fleet.qrm(down).metrics_registry()
+                .counter("qrm.jobs_migrated_out")
+                .count(),
+            queued.size());
+  EXPECT_GE(fleet.qrm(survivor).metrics_registry()
+                .counter("qrm.jobs_migrated_in")
+                .count(),
+            queued.size());
 
   fleet.drain();
   for (const int id : queued)
@@ -426,8 +432,12 @@ TEST_F(FleetTest, DeadLetterReplayDuringMigrationNeitherLosesNorDuplicates) {
 
   // No double execution: device 1 completed exactly the four migrated
   // originals plus the two replays; device 0 completed nothing.
-  EXPECT_EQ(fleet.qrm(1).metrics().jobs_completed, 6u);
-  EXPECT_EQ(fleet.qrm(0).metrics().jobs_completed, 0u);
+  EXPECT_EQ(
+      fleet.qrm(1).metrics_registry().counter("qrm.jobs_completed").count(),
+      6u);
+  EXPECT_EQ(
+      fleet.qrm(0).metrics_registry().counter("qrm.jobs_completed").count(),
+      0u);
   EXPECT_TRUE(fleet.qrm(0).dead_letters().empty());
 
   const JobConservation audit = fleet.conservation();

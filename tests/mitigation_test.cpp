@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "hpcqc/circuit/execute.hpp"
@@ -10,6 +11,23 @@
 
 namespace hpcqc::mitigation {
 namespace {
+
+/// Largest amplitude difference between two states once `b`'s global phase
+/// is aligned to `a`'s: inverse() may realize a gate's adjoint only up to
+/// a global phase (SX† as RX(-pi/2)).
+double phase_aligned_distance(const qsim::StateVector& a,
+                              const qsim::StateVector& b) {
+  const auto& x = a.amplitudes();
+  const auto& y = b.amplitudes();
+  std::size_t k = 0;
+  for (std::size_t i = 1; i < x.size(); ++i)
+    if (std::abs(x[i]) > std::abs(x[k])) k = i;
+  const qsim::Complex phase = y[k] / x[k] / std::abs(y[k] / x[k]);
+  double worst = 0.0;
+  for (std::size_t i = 0; i < x.size(); ++i)
+    worst = std::max(worst, std::abs(x[i] * phase - y[i]));
+  return worst;
+}
 
 TEST(CircuitInverse, UndoesItself) {
   Rng rng(1);
@@ -25,7 +43,8 @@ TEST(CircuitInverse, UndoesItself) {
     circuit::apply_gates(state, body);
     circuit::apply_gates(state, body.inverse());
     qsim::StateVector fresh(4);
-    EXPECT_NEAR(state.fidelity(fresh), 1.0, 1e-10) << "seed " << seed;
+    EXPECT_NEAR(phase_aligned_distance(fresh, state), 0.0, 1e-10)
+        << "seed " << seed;
   }
 }
 
@@ -42,7 +61,7 @@ TEST(CircuitInverse, EveryGateKindInverts) {
   qsim::StateVector reference = state;
   circuit::apply_gates(state, body);
   circuit::apply_gates(state, body.inverse());
-  EXPECT_NEAR(state.fidelity(reference), 1.0, 1e-10);
+  EXPECT_NEAR(phase_aligned_distance(reference, state), 0.0, 1e-10);
 }
 
 TEST(CircuitInverse, RejectsMeasurement) {

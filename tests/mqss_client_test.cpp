@@ -152,22 +152,22 @@ TEST_F(ClientTest, BatchOnHpcPathFallsBackToSequentialSubmits) {
 TEST_F(ClientTest, CompileCacheHitsUntilRecalibration) {
   const auto ghz = circuit::Circuit::ghz(4);
   service_.compile_only(ghz);
-  EXPECT_EQ(service_.cache_misses(), 1u);
+  EXPECT_EQ(service_.cache_stats().misses, 1u);
   service_.compile_only(ghz);
   service_.compile_only(ghz);
-  EXPECT_EQ(service_.cache_hits(), 2u);
-  EXPECT_EQ(service_.cache_misses(), 1u);
+  EXPECT_EQ(service_.cache_stats().hits, 2u);
+  EXPECT_EQ(service_.cache_stats().misses, 1u);
 
   // A different circuit misses.
   service_.compile_only(circuit::Circuit::ghz(5));
-  EXPECT_EQ(service_.cache_misses(), 2u);
+  EXPECT_EQ(service_.cache_stats().misses, 2u);
 
   // Recalibration moves the epoch: everything recompiles against the
   // fresh metrics.
   device_.install_calibration(device_.sample_fresh_calibration(100.0, rng_));
   service_.compile_only(ghz);
-  EXPECT_EQ(service_.cache_misses(), 3u);
-  EXPECT_EQ(service_.cache_hits(), 2u);
+  EXPECT_EQ(service_.cache_stats().misses, 3u);
+  EXPECT_EQ(service_.cache_stats().hits, 2u);
 }
 
 TEST_F(ClientTest, CompileCacheCanBeDisabled) {
@@ -175,8 +175,8 @@ TEST_F(ClientTest, CompileCacheCanBeDisabled) {
   const auto ghz = circuit::Circuit::ghz(3);
   service_.compile_only(ghz);
   service_.compile_only(ghz);
-  EXPECT_EQ(service_.cache_hits(), 0u);
-  EXPECT_EQ(service_.cache_misses(), 0u);
+  EXPECT_EQ(service_.cache_stats().hits, 0u);
+  EXPECT_EQ(service_.cache_stats().misses, 0u);
 }
 
 TEST_F(ClientTest, OfflineQpuFallsBackToEmulatorAndBreakerRecovers) {
@@ -185,6 +185,11 @@ TEST_F(ClientTest, OfflineQpuFallsBackToEmulatorAndBreakerRecovers) {
   resilience.breaker_threshold = 2;
   resilience.breaker_cooldown = minutes(5.0);
   Client client(service_, clock_, AccessPath::kHpc, {}, resilience);
+  obs::MetricsRegistry metrics;
+  client.set_metrics(&metrics);
+  const auto count = [&metrics](const char* name) {
+    return metrics.counter(name).count();
+  };
 
   // QPU forced offline: both attempts fail, the breaker opens, and the
   // submission degrades to the digital-twin emulator.
@@ -195,9 +200,9 @@ TEST_F(ClientTest, OfflineQpuFallsBackToEmulatorAndBreakerRecovers) {
   EXPECT_DOUBLE_EQ(down.run.estimated_fidelity, 1.0);
   EXPECT_DOUBLE_EQ(down.run.qpu_time, 0.0);
   EXPECT_EQ(down.run.counts.total_shots(), 500u);
-  EXPECT_EQ(client.retries(), 2u);
-  EXPECT_EQ(client.breaker_opens(), 1u);
-  EXPECT_EQ(client.fallbacks(), 1u);
+  EXPECT_EQ(count("client.retries"), 2u);
+  EXPECT_EQ(count("client.breaker_opens"), 1u);
+  EXPECT_EQ(count("client.fallbacks"), 1u);
   EXPECT_EQ(client.breaker_state(), BreakerState::kOpen);
 
   // While open, submissions go straight to the emulator without touching
@@ -205,8 +210,8 @@ TEST_F(ClientTest, OfflineQpuFallsBackToEmulatorAndBreakerRecovers) {
   const auto held =
       client.wait(client.submit(circuit::Circuit::bell(), 300, "held"));
   EXPECT_TRUE(held.run.emulated);
-  EXPECT_EQ(client.retries(), 2u);
-  EXPECT_EQ(client.fallbacks(), 2u);
+  EXPECT_EQ(count("client.retries"), 2u);
+  EXPECT_EQ(count("client.fallbacks"), 2u);
 
   // The machine recovers; after the cooldown the half-open probe succeeds
   // and closes the breaker.
@@ -230,12 +235,14 @@ TEST_F(ClientTest, TransientFaultIsRetriedWithoutFallback) {
   service_.set_fault_context(&injector, &clock_);
 
   Client client(service_, clock_, AccessPath::kHpc);
+  obs::MetricsRegistry metrics;
+  client.set_metrics(&metrics);
   const auto result =
       client.wait(client.submit(circuit::Circuit::bell(), 200, "retried"));
   EXPECT_FALSE(result.run.emulated);
   EXPECT_EQ(result.run.counts.total_shots(), 200u);
-  EXPECT_EQ(client.retries(), 1u);
-  EXPECT_EQ(client.fallbacks(), 0u);
+  EXPECT_EQ(metrics.counter("client.retries").count(), 1u);
+  EXPECT_EQ(metrics.counter("client.fallbacks").count(), 0u);
   EXPECT_EQ(client.breaker_state(), BreakerState::kClosed);
   service_.set_fault_context(nullptr, nullptr);
 }
@@ -276,8 +283,8 @@ TEST_F(ClientTest, CompileCacheEpochIgnoresTimestampCollisions) {
   service_.compile_only(ghz);
   device_.install_calibration(device_.sample_fresh_calibration(50.0, rng_));
   service_.compile_only(ghz);
-  EXPECT_EQ(service_.cache_misses(), 3u);
-  EXPECT_EQ(service_.cache_hits(), 0u);
+  EXPECT_EQ(service_.cache_stats().misses, 3u);
+  EXPECT_EQ(service_.cache_stats().hits, 0u);
 }
 
 TEST_F(ClientTest, CompileCacheCapacityEvictsOldestFirst) {
@@ -285,15 +292,15 @@ TEST_F(ClientTest, CompileCacheCapacityEvictsOldestFirst) {
   service_.compile_only(circuit::Circuit::ghz(3));
   service_.compile_only(circuit::Circuit::ghz(4));
   service_.compile_only(circuit::Circuit::ghz(5));  // evicts ghz(3)
-  EXPECT_EQ(service_.cache_size(), 2u);
+  EXPECT_EQ(service_.cache_stats().size, 2u);
   service_.compile_only(circuit::Circuit::ghz(5));  // still cached
-  EXPECT_EQ(service_.cache_hits(), 1u);
+  EXPECT_EQ(service_.cache_stats().hits, 1u);
   service_.compile_only(circuit::Circuit::ghz(3));  // was evicted: miss
-  EXPECT_EQ(service_.cache_misses(), 4u);
-  EXPECT_EQ(service_.cache_size(), 2u);
+  EXPECT_EQ(service_.cache_stats().misses, 4u);
+  EXPECT_EQ(service_.cache_stats().size, 2u);
 
   service_.set_compile_cache_capacity(1);  // shrinking evicts immediately
-  EXPECT_EQ(service_.cache_size(), 1u);
+  EXPECT_EQ(service_.cache_stats().size, 1u);
   EXPECT_THROW(service_.set_compile_cache_capacity(0), PreconditionError);
 }
 
@@ -306,10 +313,10 @@ TEST_F(ClientTest, CompileCacheEvictsLeastRecentlyUsedNotOldest) {
   service_.compile_only(circuit::Circuit::ghz(5));  // evicts ghz(4)
   EXPECT_EQ(service_.cache_stats().evictions, 1u);
   service_.compile_only(circuit::Circuit::ghz(3));  // still cached
-  EXPECT_EQ(service_.cache_hits(), 2u);
-  EXPECT_EQ(service_.cache_misses(), 3u);
+  EXPECT_EQ(service_.cache_stats().hits, 2u);
+  EXPECT_EQ(service_.cache_stats().misses, 3u);
   service_.compile_only(circuit::Circuit::ghz(4));  // the FIFO survivor died
-  EXPECT_EQ(service_.cache_misses(), 4u);
+  EXPECT_EQ(service_.cache_stats().misses, 4u);
   EXPECT_EQ(service_.cache_stats().evictions, 2u);
 }
 

@@ -120,8 +120,8 @@ TEST_F(ParametricServiceTest, StructureIsCompiledOnceAcrossBindings) {
   const auto first = service_.compile_structure(ansatz);
   const auto second = service_.compile_structure(ansatz);
   EXPECT_EQ(first, second);  // same shared cache entry
-  EXPECT_EQ(service_.cache_misses(), 1u);
-  EXPECT_EQ(service_.cache_hits(), 1u);
+  EXPECT_EQ(service_.cache_stats().misses, 1u);
+  EXPECT_EQ(service_.cache_stats().hits, 1u);
 
   // Ten optimizer iterations: one structure compile total.
   for (int i = 0; i < 10; ++i) {
@@ -130,8 +130,8 @@ TEST_F(ParametricServiceTest, StructureIsCompiledOnceAcrossBindings) {
         ansatz, {{"a", t}, {"b", -t}, {"c", 2.0 * t}});
     EXPECT_TRUE(program.native_circuit.is_native());
   }
-  EXPECT_EQ(service_.cache_misses(), 1u);
-  EXPECT_EQ(service_.cache_hits(), 11u);
+  EXPECT_EQ(service_.cache_stats().misses, 1u);
+  EXPECT_EQ(service_.cache_stats().hits, 11u);
 }
 
 TEST_F(ParametricServiceTest, RecalibrationInvalidatesCachedStructures) {
@@ -139,8 +139,8 @@ TEST_F(ParametricServiceTest, RecalibrationInvalidatesCachedStructures) {
   service_.compile_structure(ansatz);
   device_.install_calibration(device_.sample_fresh_calibration(100.0, rng_));
   service_.compile_structure(ansatz);
-  EXPECT_EQ(service_.cache_misses(), 2u);
-  EXPECT_EQ(service_.cache_hits(), 0u);
+  EXPECT_EQ(service_.cache_stats().misses, 2u);
+  EXPECT_EQ(service_.cache_stats().hits, 0u);
 }
 
 TEST_F(ParametricServiceTest, HealthMaskChangeInvalidatesCachedStructures) {
@@ -148,7 +148,7 @@ TEST_F(ParametricServiceTest, HealthMaskChangeInvalidatesCachedStructures) {
   service_.compile_structure(ansatz);
   device_.set_qubit_health(7, false);
   service_.compile_structure(ansatz);
-  EXPECT_EQ(service_.cache_misses(), 2u);
+  EXPECT_EQ(service_.cache_stats().misses, 2u);
   device_.set_qubit_health(7, true);
 }
 
@@ -217,7 +217,7 @@ TEST_F(ParametricServiceTest, EvictionsAreCountedInMetrics) {
   service_.compile_only(circuit::Circuit::ghz(5));  // evicts ghz(4)
   EXPECT_EQ(registry.counter("mqss.compile_cache_evictions").count(), 2u);
   EXPECT_EQ(service_.cache_stats().evictions, 2u);
-  EXPECT_EQ(service_.cache_size(), 1u);
+  EXPECT_EQ(service_.cache_stats().size, 1u);
 }
 
 TEST_F(ParametricServiceTest, RunParametricReplaysBitIdentically) {
@@ -302,7 +302,7 @@ TEST_F(ParametricServiceTest, DisabledCacheStillCompilesParametric) {
   const auto verdict = verify::compiled_equivalent(
       ansatz.bind(binding), program, verify::FrameTolerance::kOutputZFrame);
   EXPECT_TRUE(verdict.equivalent) << verdict.detail;
-  EXPECT_EQ(service_.cache_size(), 0u);
+  EXPECT_EQ(service_.cache_stats().size, 0u);
 }
 
 }  // namespace

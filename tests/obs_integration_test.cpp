@@ -296,18 +296,14 @@ TEST_F(TracedQrmTest, DegradedHoldIsVisibleOnTheQueueSpan) {
   EXPECT_TRUE(recorder_.post_mortems().empty());  // a hold is not a failure
 }
 
-TEST_F(TracedQrmTest, RegistryCountersMatchTheLegacyMetricsShim) {
+TEST_F(TracedQrmTest, TelemetryBridgeReExportsTheRegistry) {
   qrm_.submit(ghz_job(device_, 4, 500, "a"));
   qrm_.submit(ghz_job(device_, 6, 300, "b"));
   qrm_.drain();
 
-  const sched::QrmMetrics legacy = qrm_.metrics();
   const obs::MetricsSnapshot snap = qrm_.metrics_registry().snapshot();
-  EXPECT_EQ(snap.counter("qrm.jobs_completed")->value,
-            static_cast<double>(legacy.jobs_completed));
-  EXPECT_EQ(snap.counter("qrm.total_shots")->value,
-            static_cast<double>(legacy.total_shots));
-  EXPECT_DOUBLE_EQ(snap.counter("qrm.busy_time_s")->value, legacy.busy_time);
+  EXPECT_EQ(snap.counter("qrm.jobs_completed")->value, 2.0);
+  EXPECT_EQ(snap.counter("qrm.total_shots")->value, 800.0);
   EXPECT_EQ(snap.histogram("qrm.queue_wait_s")->count, 2u);
   EXPECT_EQ(snap.histogram("qrm.execute_s")->count, 2u);
 
@@ -318,7 +314,7 @@ TEST_F(TracedQrmTest, RegistryCountersMatchTheLegacyMetricsShim) {
   EXPECT_GT(appended, 0u);
   ASSERT_TRUE(store.has_sensor("obs.qrm.jobs_completed"));
   EXPECT_DOUBLE_EQ(store.latest("obs.qrm.jobs_completed")->value,
-                   static_cast<double>(legacy.jobs_completed));
+                   snap.counter("qrm.jobs_completed")->value);
   EXPECT_TRUE(store.has_sensor("obs.qrm.queue_wait_s.p95"));
 }
 

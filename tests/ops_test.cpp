@@ -82,7 +82,12 @@ TEST(Campaign, TwoWeeksOfCleanOperation) {
   const auto result = campaign.run();
   EXPECT_EQ(result.daily.size(), 14u);
   EXPECT_GT(result.uptime_fraction, 0.9);
-  EXPECT_GT(result.qrm.jobs_completed, 100u);
+  EXPECT_GT(campaign.qrm()
+                .metrics_registry()
+                .snapshot()
+                .counter("qrm.jobs_completed")
+                ->value,
+            100.0);
   EXPECT_GT(result.quick_calibrations + result.full_calibrations, 3u);
   EXPECT_TRUE(result.recoveries.empty());
   EXPECT_GE(result.ln2_refills, 1u);

@@ -39,6 +39,16 @@ Qrm::Config fast_config() {
   return config;
 }
 
+/// A counter of `qrm`'s registry, as a count.
+std::uint64_t count(Qrm& qrm, const std::string& name) {
+  return qrm.metrics_registry().counter(name).count();
+}
+
+/// A counter of `qrm`'s registry, as an accumulated value.
+double total(Qrm& qrm, const std::string& name) {
+  return qrm.metrics_registry().counter(name).value();
+}
+
 QuantumJob ghz_job(const device::DeviceModel& device, int qubits,
                    std::size_t shots, const std::string& name) {
   QuantumJob job;
@@ -70,11 +80,10 @@ TEST_F(QrmTest, JobLifecycle) {
   EXPECT_GE(record.start_time, record.submit_time);
   EXPECT_GT(record.end_time, record.start_time);
   EXPECT_GT(record.result.estimated_fidelity, 0.5);
-  const auto metrics = qrm_.metrics();
-  EXPECT_EQ(metrics.jobs_completed, 1u);
-  EXPECT_EQ(metrics.total_shots, 2000u);
-  EXPECT_GT(metrics.good_shots, 1000.0);
-  EXPECT_LE(metrics.good_shots, 2000.0);
+  EXPECT_EQ(count(qrm_, "qrm.jobs_completed"), 1u);
+  EXPECT_EQ(count(qrm_, "qrm.total_shots"), 2000u);
+  EXPECT_GT(total(qrm_, "qrm.good_shots"), 1000.0);
+  EXPECT_LE(total(qrm_, "qrm.good_shots"), 2000.0);
 }
 
 TEST_F(QrmTest, JobsRunInSubmissionOrder) {
@@ -95,8 +104,7 @@ TEST_F(QrmTest, DriftTriggersCalibrationEventually) {
   const auto& controller = qrm_.controller();
   EXPECT_GT(controller.calibration_history().size(), 0u);
   // All calibrations happened while the queue was idle (scheduler policy).
-  const auto metrics = qrm_.metrics();
-  EXPECT_GT(metrics.calibration_time, 0.0);
+  EXPECT_GT(total(qrm_, "qrm.calibration_time_s"), 0.0);
 }
 
 TEST_F(QrmTest, ForcedCalibrationRunsFirst) {
@@ -153,9 +161,9 @@ TEST_F(QrmTest, WaitTimesAccumulate) {
   qrm_.submit(ghz_job(device_, 6, 400000, "first"));
   qrm_.submit(ghz_job(device_, 6, 400000, "second"));
   qrm_.drain();
-  const auto metrics = qrm_.metrics();
-  EXPECT_EQ(metrics.jobs_completed, 2u);
-  EXPECT_GT(metrics.mean_wait, 0.0);
+  EXPECT_EQ(count(qrm_, "qrm.jobs_completed"), 2u);
+  EXPECT_GT(qrm_.metrics_registry().histogram("qrm.queue_wait_s").mean(),
+            0.0);
 }
 
 TEST_F(QrmTest, UnknownJobThrows) {
@@ -262,8 +270,8 @@ TEST_F(QrmTest, OfflineMidJobRecordsInterruptionWithoutChargingAnAttempt) {
   EXPECT_EQ(record.state, QuantumJobState::kCompleted);
   EXPECT_EQ(record.attempts, 1u);
   // The restart is not a retry: no attempt failed.
-  EXPECT_EQ(qrm_.metrics().retries, 0u);
-  EXPECT_EQ(qrm_.metrics().execution_faults, 0u);
+  EXPECT_EQ(count(qrm_, "qrm.retries"), 0u);
+  EXPECT_EQ(count(qrm_, "qrm.execution_faults"), 0u);
 }
 
 TEST_F(QrmTest, OfflineMidCalibrationReArmsIt) {
@@ -294,10 +302,9 @@ TEST_F(QrmTest, TransientExecutionFaultRetriesThenCompletes) {
   const QuantumJobRecord& record = qrm_.record(id);
   EXPECT_EQ(record.state, QuantumJobState::kCompleted);
   EXPECT_EQ(record.attempts, 2u);
-  const auto metrics = qrm_.metrics();
-  EXPECT_EQ(metrics.retries, 1u);
-  EXPECT_EQ(metrics.execution_faults, 1u);
-  EXPECT_EQ(metrics.jobs_failed, 0u);
+  EXPECT_EQ(count(qrm_, "qrm.retries"), 1u);
+  EXPECT_EQ(count(qrm_, "qrm.execution_faults"), 1u);
+  EXPECT_EQ(count(qrm_, "qrm.jobs_failed"), 0u);
   EXPECT_EQ(qrm_.dead_letters().size(), 0u);
 }
 
@@ -319,11 +326,10 @@ TEST_F(QrmTest, ExhaustedRetryBudgetDeadLetters) {
   ASSERT_EQ(qrm_.dead_letters().size(), 1u);
   EXPECT_EQ(qrm_.dead_letters()[0].id, id);
   EXPECT_EQ(qrm_.dead_letters()[0].attempts, 3u);
-  const auto metrics = qrm_.metrics();
-  EXPECT_EQ(metrics.jobs_failed, 1u);
-  EXPECT_EQ(metrics.retries, 2u);
-  EXPECT_EQ(metrics.execution_faults, 3u);
-  EXPECT_EQ(metrics.jobs_completed, 0u);
+  EXPECT_EQ(count(qrm_, "qrm.jobs_failed"), 1u);
+  EXPECT_EQ(count(qrm_, "qrm.retries"), 2u);
+  EXPECT_EQ(count(qrm_, "qrm.execution_faults"), 3u);
+  EXPECT_EQ(count(qrm_, "qrm.jobs_completed"), 0u);
 
   // The machine is fine once the window passes: the next job completes.
   const int ok = qrm_.submit(ghz_job(device_, 4, 1000, "fine"));
@@ -341,7 +347,7 @@ TEST_F(QrmTest, CalibrationFaultReArmsAndRetries) {
 
   qrm_.request_calibration(calibration::CalibrationKind::kQuick);
   qrm_.drain();
-  EXPECT_EQ(qrm_.metrics().calibrations_failed, 1u);
+  EXPECT_EQ(count(qrm_, "qrm.calibrations_failed"), 1u);
   // The re-armed calibration succeeded once the window passed.
   EXPECT_EQ(qrm_.controller().calibration_count(
                 calibration::CalibrationKind::kQuick),
@@ -362,9 +368,8 @@ TEST_F(QrmTest, CancelQueuedAndRetryingJobs) {
   qrm_.drain();
   EXPECT_EQ(qrm_.record(a).state, QuantumJobState::kCancelled);
   EXPECT_EQ(qrm_.record(b).state, QuantumJobState::kCompleted);
-  const auto metrics = qrm_.metrics();
-  EXPECT_EQ(metrics.jobs_cancelled, 1u);
-  EXPECT_EQ(metrics.jobs_completed, 1u);
+  EXPECT_EQ(count(qrm_, "qrm.jobs_cancelled"), 1u);
+  EXPECT_EQ(count(qrm_, "qrm.jobs_completed"), 1u);
 }
 
 TEST_F(QrmTest, RunningJobCannotBeCancelled) {
@@ -396,8 +401,7 @@ TEST(QrmPolicy, SchedulerControlledBeatsFixedIntervalOnGoodShots) {
     }
     qrm.advance_to(days(7.0));
     qrm.drain();
-    const auto metrics = qrm.metrics();
-    return metrics.good_shots / static_cast<double>(metrics.total_shots);
+    return total(qrm, "qrm.good_shots") / total(qrm, "qrm.total_shots");
   };
 
   const double adaptive =
@@ -474,7 +478,7 @@ TEST(QrmAdmission, FullQueueRefusesWithTerminalRecord) {
   EXPECT_EQ(qrm.record(c).state, QuantumJobState::kRejectedOverload);
   EXPECT_NE(qrm.record(c).failure_reason.find("queue full"),
             std::string::npos);
-  EXPECT_EQ(qrm.metrics().jobs_rejected_overload, 1u);
+  EXPECT_EQ(count(qrm, "qrm.jobs_rejected_overload"), 1u);
 
   const JobConservation before = qrm.conservation();
   EXPECT_TRUE(before.holds());
@@ -533,7 +537,7 @@ TEST(QrmAdmission, BrownoutShedsLowPriorityAndClearsWithHysteresis) {
   EXPECT_TRUE(qrm.brownout());
   EXPECT_EQ(qrm.record(a).state, QuantumJobState::kShed);
   EXPECT_NE(qrm.record(a).failure_reason.find("brownout"), std::string::npos);
-  EXPECT_EQ(qrm.metrics().jobs_shed, 1u);
+  EXPECT_EQ(count(qrm, "qrm.jobs_shed"), 1u);
 
   // While browned out, new low-priority work is refused at the door; normal
   // priority is still admitted.
@@ -571,7 +575,7 @@ TEST_F(QrmTest, DegradedHoldSkipsMaskedJobsUntilRecovery) {
   qrm_.advance_to(hours(1.0));
   EXPECT_EQ(qrm_.record(b).state, QuantumJobState::kCompleted);
   EXPECT_EQ(qrm_.record(a).state, QuantumJobState::kQueued);
-  EXPECT_GE(qrm_.metrics().degraded_holds, 1u);
+  EXPECT_GE(count(qrm_, "qrm.degraded_holds"), 1u);
 
   // Once the supervisor unmasks the qubit the held job runs to completion.
   device_.set_qubit_health(chain[1], true);
@@ -593,7 +597,7 @@ TEST_F(QrmTest, TooWideForTheDegradedDeviceIsRefusedUpFront) {
   EXPECT_EQ(qrm_.record(id).state, QuantumJobState::kRejectedTooWide);
   EXPECT_NE(qrm_.record(id).failure_reason.find("largest healthy component"),
             std::string::npos);
-  EXPECT_EQ(qrm_.metrics().jobs_rejected_too_wide, 1u);
+  EXPECT_EQ(count(qrm_, "qrm.jobs_rejected_too_wide"), 1u);
 }
 
 TEST(QrmDeadLetter, OverflowDropsOldestAndCountsTheDrop) {
@@ -616,11 +620,11 @@ TEST(QrmDeadLetter, OverflowDropsOldestAndCountsTheDrop) {
 
   // All three dead-lettered; the DLQ keeps the newest two and counts the
   // dropped record — nothing vanishes unaccounted.
-  EXPECT_EQ(qrm.metrics().jobs_failed, 3u);
+  EXPECT_EQ(count(qrm, "qrm.jobs_failed"), 3u);
   ASSERT_EQ(qrm.dead_letters().size(), 2u);
   EXPECT_EQ(qrm.dead_letters()[0].id, b);
   EXPECT_EQ(qrm.dead_letters()[1].id, c);
-  EXPECT_EQ(qrm.metrics().dead_letters_dropped, 1u);
+  EXPECT_EQ(count(qrm, "qrm.dead_letters_dropped"), 1u);
   EXPECT_EQ(qrm.record(a).state, QuantumJobState::kFailed);
   const JobConservation audit = qrm.conservation();
   EXPECT_TRUE(audit.holds());
@@ -675,7 +679,7 @@ TEST(QrmDeadLetter, DrainedLettersReplayUnderTheOriginalTraceContext) {
   auto letters = qrm.drain_dead_letters();
   ASSERT_EQ(letters.size(), 1u);
   EXPECT_TRUE(qrm.dead_letters().empty());
-  EXPECT_EQ(qrm.metrics().dead_letters_drained, 1u);
+  EXPECT_EQ(count(qrm, "qrm.dead_letters_drained"), 1u);
   EXPECT_EQ(letters[0].id, id);
   // The replay payload carries the failed run's trace context (the client
   // supplied none), so the retry nests inside the original trace.
@@ -789,10 +793,10 @@ TEST(QrmDeadLetter, SecondDrainIsEmptyAndDoesNotInflateTheCounter) {
   qrm.submit(ghz_job(device, 4, 500, "doomed"));
   qrm.drain();
   EXPECT_EQ(qrm.drain_dead_letters().size(), 1u);
-  EXPECT_EQ(qrm.metrics().dead_letters_drained, 1u);
+  EXPECT_EQ(count(qrm, "qrm.dead_letters_drained"), 1u);
   // An empty drain hands out nothing and leaves the counter alone.
   EXPECT_TRUE(qrm.drain_dead_letters().empty());
-  EXPECT_EQ(qrm.metrics().dead_letters_drained, 1u);
+  EXPECT_EQ(count(qrm, "qrm.dead_letters_drained"), 1u);
   EXPECT_TRUE(qrm.dead_letters().empty());
 }
 
@@ -887,7 +891,7 @@ TEST(QrmDeadLetter, WalRoundTripPreservesLettersAcrossACrash) {
   EXPECT_EQ(letters[0].trace, letter_trace);
   ASSERT_TRUE(letters[0].job.trace.valid());
   EXPECT_EQ(letters[0].job.trace, letter_trace);
-  EXPECT_EQ(rebuilt.metrics().dead_letters_drained, 1u);
+  EXPECT_EQ(count(rebuilt, "qrm.dead_letters_drained"), 1u);
 
   // No injector on the rebuilt plane: the replay completes, the original
   // failure stays failed, and the books balance.

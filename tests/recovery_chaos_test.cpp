@@ -137,11 +137,7 @@ TEST(RecoveryChaos, RestoredLedgerMatchesTheRecordsAfterEveryCrash) {
     store::Wal wal(backend);
     store::Journal journal(wal);
     qrm.set_journal(&journal);
-    // A torn frame ends every later scan, and a checkpointer truncates only
-    // below its own previous snapshot: the second checkpoint drops the torn
-    // segment, so the next replay sees this generation's journal.
     store::Checkpointer checkpointer(wal);
-    checkpointer.checkpoint(qrm);
     checkpointer.checkpoint(qrm);
     fault::FaultInjector injector(plan);
     qrm.set_fault_injector(&injector);

@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -266,6 +267,47 @@ TEST(StoreWal, FileBackendRoundTripsAndStopsAtCorruption) {
   EXPECT_GT(corrupt.dropped_bytes, 0u);
 }
 
+// A Wal reopened after a tear appends behind the bad frame, where no scan
+// reaches. Trimming the tail exposes those appends and leaves the reopened
+// Wal's open segment usable.
+void expect_trim_exposes_later_appends(WalBackend& backend,
+                                       const std::function<void()>& tear) {
+  {
+    Wal wal(backend);
+    wal.append(1, bytes_of("kept"));
+    wal.append(1, bytes_of("torn-off"));
+  }
+  tear();
+  Wal reopened(backend);
+  const WalScan torn = Wal::scan(backend);
+  ASSERT_TRUE(torn.torn);
+  ASSERT_EQ(torn.records.size(), 1u);
+
+  Wal::trim_torn_tail(backend, torn);
+  reopened.append(1, bytes_of("after-trim"));
+  const WalScan scan = Wal::scan(backend);
+  EXPECT_FALSE(scan.torn);
+  EXPECT_EQ(scan.dropped_bytes, 0u);
+  ASSERT_EQ(scan.records.size(), 2u);
+  EXPECT_EQ(scan.records[0].payload, bytes_of("kept"));
+  EXPECT_EQ(scan.records[1].payload, bytes_of("after-trim"));
+  EXPECT_EQ(scan.records[1].lsn, 2u);
+}
+
+TEST(StoreWal, TrimmedTornTailExposesLaterAppendsOnBothBackends) {
+  MemoryWalBackend memory;
+  expect_trim_exposes_later_appends(
+      memory, [&memory] { memory.truncate_total(memory.total_bytes() - 3); });
+
+  const std::string dir = ::testing::TempDir() + "/hpcqc_wal_trim_test";
+  std::filesystem::remove_all(dir);
+  FileWalBackend file(dir);
+  expect_trim_exposes_later_appends(file, [&file] {
+    const std::uint64_t id = file.segments().back();
+    file.truncate_segment(id, file.read_segment(id).size() - 3);
+  });
+}
+
 // -------------------------------------------------------------- snapshot --
 
 TEST(StoreSnapshot, QrmImageRoundTripsByteIdentically) {
@@ -454,6 +496,57 @@ TEST(StoreRecovery, TornAdmissionOutcomeIsScrubbedDeterministically) {
   rebuilt.drain();
   EXPECT_TRUE(rebuilt.conservation().holds());
   EXPECT_EQ(rebuilt.conservation().in_flight, 0u);
+}
+
+TEST(StoreRecovery, RecordsJournaledAfterATornTailSurviveTheNextCrash) {
+  // A torn frame ends every scan. Unless restore cuts it off, the recovered
+  // control plane's first checkpoint and everything journaled after it stay
+  // hidden behind it, so a second crash before the next checkpoint would
+  // roll back to the image the first recovery started from.
+  Rng rng(27);
+  device::DeviceModel device = device::make_iqm20(rng);
+  MemoryWalBackend backend;
+  {
+    Wal wal(backend);
+    Journal journal(wal);
+    sched::Qrm qrm(device, fast_config(), rng, nullptr);
+    qrm.set_journal(&journal, 0);
+    qrm.submit(ghz_job(device, 4, 300, "before-a"));
+    qrm.submit(ghz_job(device, 5, 300, "before-b"));
+    qrm.advance_to(minutes(30.0));
+  }
+  backend.truncate_total(backend.total_bytes() - 7);  // tears the last frame
+
+  // Generation 1 boots as run_durable_campaign does (WAL and journal first),
+  // recovers, checkpoints once, journals one more job and dies.
+  int later = 0;
+  {
+    Rng rng1(2);
+    Wal wal(backend);
+    Journal journal(wal);
+    sched::Qrm qrm(device, fast_config(), rng1, nullptr);
+    qrm.set_journal(&journal, 0);
+    Recovery recovery(backend);
+    const RecoveryStats stats = recovery.restore(qrm);
+    EXPECT_TRUE(stats.torn_tail);
+    EXPECT_GT(stats.dropped_bytes, 0u);
+    Checkpointer(wal).checkpoint(qrm);
+    later = qrm.submit(ghz_job(device, 4, 300, "after-checkpoint"));
+    qrm.advance_to(minutes(50.0));
+  }
+
+  // Generation 2 recovers from the snapshot and finds the later job.
+  Rng rng2(3);
+  sched::Qrm qrm(device, fast_config(), rng2, nullptr);
+  Recovery recovery(backend);
+  const RecoveryStats stats = recovery.restore(qrm);
+  EXPECT_FALSE(stats.torn_tail);
+  EXPECT_EQ(stats.dropped_bytes, 0u);
+  EXPECT_TRUE(stats.had_snapshot);
+  EXPECT_GT(stats.replayed, 0u);
+  ASSERT_NO_THROW((void)qrm.record(later));
+  EXPECT_EQ(qrm.record(later).name, "after-checkpoint");
+  EXPECT_EQ(qrm.conservation().submitted, 3u);
 }
 
 TEST(StoreRecovery, RecoverySpansDocumentTheRebuild) {

@@ -165,7 +165,9 @@ TEST(CompiledProgram, FusedIdealStateMatchesUncompiledEvolution) {
   program.run_ideal(fused);
   qsim::StateVector plain(3);
   circuit::apply_gates(plain, ref);
-  EXPECT_NEAR(fused.fidelity(plain), 1.0, 1e-10);
+  for (std::uint64_t i = 0; i < fused.dimension(); ++i)
+    EXPECT_NEAR(std::abs(fused.amplitude(i) - plain.amplitude(i)), 0.0, 1e-10)
+        << "amplitude " << i;
 }
 
 TEST(CompiledProgram, FusesSingleQubitRunsAndPrecomputesErrors) {
