@@ -5,6 +5,7 @@
 
 #include "hpcqc/circuit/execute.hpp"
 #include "hpcqc/common/error.hpp"
+#include "hpcqc/qsim/density_matrix.hpp"
 
 namespace hpcqc::device {
 
@@ -172,8 +173,8 @@ void CompiledProgram::draw_insertions(Rng& rng,
   }
 }
 
-void CompiledProgram::apply_step(qsim::StateVector& state,
-                                 std::size_t i) const {
+template <typename State>
+void CompiledProgram::apply_step(State& state, std::size_t i) const {
   const auto& op = ops_[i];
   switch (op.kind) {
     case CompiledOp::Kind::kFused1q: state.apply_1q(op.m2, op.q0); break;
@@ -185,6 +186,11 @@ void CompiledProgram::apply_step(qsim::StateVector& state,
       break;
   }
 }
+
+template void CompiledProgram::apply_step(qsim::StateVector&,
+                                          std::size_t) const;
+template void CompiledProgram::apply_step(qsim::DensityMatrix&,
+                                          std::size_t) const;
 
 void CompiledProgram::run_range(
     qsim::StateVector& state, std::size_t first,

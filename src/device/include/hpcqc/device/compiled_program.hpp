@@ -96,8 +96,11 @@ public:
   /// Bernoulli per noisy step plus one index draw per hit.
   void draw_insertions(Rng& rng, std::vector<PauliInsertion>& out) const;
 
-  /// Applies the unitary of step `i` to `state` (no error injection).
-  void apply_step(qsim::StateVector& state, std::size_t i) const;
+  /// Applies the unitary of step `i` to `state` (no error injection): a
+  /// qsim::StateVector for trajectories, a qsim::DensityMatrix for the
+  /// exact oracle in `verify/`. Instantiated for those two in the .cpp.
+  template <typename State>
+  void apply_step(State& state, std::size_t i) const;
 
   /// Applies steps [first, ops().size()) to `state`, injecting each listed
   /// insertion after its step. `insertions` must be sorted by op_index and

@@ -7,6 +7,7 @@
 #include <set>
 
 #include "hpcqc/common/error.hpp"
+#include "lowering.hpp"
 
 namespace hpcqc::mqss {
 
@@ -336,91 +337,15 @@ void RoutingPass::run(CompilationUnit& unit,
 }
 
 // ---------------------------------------------------------------------------
-// Native decomposition (virtual-Z / PRX + CZ)
+// Native decomposition (virtual-Z / PRX + CZ) and peephole optimization
 // ---------------------------------------------------------------------------
 
 namespace {
 
-/// ZYZ parameters (theta, phi, lambda) with U = RZ(phi) RY(theta) RZ(lambda)
-/// up to global phase.
-struct U3 {
-  double theta = 0.0;
-  double phi = 0.0;
-  double lambda = 0.0;
-};
-
-constexpr double kPi = M_PI;
-constexpr double kHalfPi = M_PI / 2.0;
-
-U3 u3_of(const Operation& op) {
-  switch (op.kind) {
-    case OpKind::kI: return {0.0, 0.0, 0.0};
-    case OpKind::kX: return {kPi, 0.0, kPi};
-    case OpKind::kY: return {kPi, kHalfPi, kHalfPi};
-    case OpKind::kZ: return {0.0, 0.0, kPi};
-    case OpKind::kH: return {kHalfPi, 0.0, kPi};
-    case OpKind::kS: return {0.0, 0.0, kHalfPi};
-    case OpKind::kSdg: return {0.0, 0.0, -kHalfPi};
-    case OpKind::kT: return {0.0, 0.0, kPi / 4.0};
-    case OpKind::kTdg: return {0.0, 0.0, -kPi / 4.0};
-    case OpKind::kSx: return {kHalfPi, -kHalfPi, kHalfPi};
-    case OpKind::kRx: return {op.params[0], -kHalfPi, kHalfPi};
-    case OpKind::kRy: return {op.params[0], 0.0, 0.0};
-    case OpKind::kRz: return {0.0, 0.0, op.params[0]};
-    case OpKind::kU: return {op.params[0], op.params[1], op.params[2]};
-    case OpKind::kPrx:
-      return {op.params[0], op.params[1] - kHalfPi, kHalfPi - op.params[1]};
-    default:
-      throw Error("u3_of: not a single-qubit gate");
-  }
-}
-
-/// Expands a non-native two-qubit gate into 1q gates + CZ, appending to
-/// `out` (recursively for SWAP-built gates).
-void expand_2q(const Operation& op, std::vector<Operation>& out) {
-  const int a = op.qubits[0];
-  const int b = op.qubits[1];
-  const auto cx = [&out](int control, int target) {
-    out.push_back({OpKind::kH, {target}, {}});
-    out.push_back({OpKind::kCz, {control, target}, {}});
-    out.push_back({OpKind::kH, {target}, {}});
-  };
-  switch (op.kind) {
-    case OpKind::kCz:
-      out.push_back(op);
-      return;
-    case OpKind::kCx:
-      cx(a, b);
-      return;
-    case OpKind::kSwap:
-      cx(a, b);
-      cx(b, a);
-      cx(a, b);
-      return;
-    case OpKind::kIswap:
-      // iSWAP = SWAP . CZ . (S (x) S)   (operator order; circuit order below)
-      out.push_back({OpKind::kS, {a}, {}});
-      out.push_back({OpKind::kS, {b}, {}});
-      out.push_back({OpKind::kCz, {a, b}, {}});
-      expand_2q({OpKind::kSwap, {a, b}, {}}, out);
-      return;
-    case OpKind::kCphase: {
-      const double theta = op.params[0];
-      out.push_back({OpKind::kRz, {a}, {theta / 2.0}});
-      cx(a, b);
-      out.push_back({OpKind::kRz, {b}, {-theta / 2.0}});
-      cx(a, b);
-      out.push_back({OpKind::kRz, {b}, {theta / 2.0}});
-      return;
-    }
-    default:
-      throw Error("expand_2q: not a two-qubit gate");
-  }
-}
-
-bool is_multiple_of_two_pi(double angle) {
-  const double wrapped = std::remainder(angle, 2.0 * M_PI);
-  return std::abs(wrapped) < 1e-12;
+Circuit to_circuit(std::vector<Operation> ops, int num_qubits) {
+  Circuit circuit(num_qubits);
+  for (auto& op : ops) circuit.append(std::move(op));
+  return circuit;
 }
 
 }  // namespace
@@ -430,128 +355,19 @@ void NativeDecompositionPass::run(CompilationUnit& unit,
   expects(unit.dialect == Dialect::kRouted || unit.dialect == Dialect::kPlaced,
           "NativeDecompositionPass: expected a routed/placed circuit");
   (void)device;
-
-  // Stage 1: eliminate non-native two-qubit gates.
-  std::vector<Operation> intermediate;
-  intermediate.reserve(unit.circuit.size() * 2);
-  for (const auto& op : unit.circuit.ops()) {
-    if (circuit::op_is_two_qubit(op.kind)) {
-      expand_2q(op, intermediate);
-    } else {
-      intermediate.push_back(op);
-    }
-  }
-
-  // Stage 2: virtual-Z lowering of all single-qubit gates to PRX.
-  // Invariant: logical state = RZ(frame[q]) applied to the emitted state;
-  // frames commute through CZ and are irrelevant at Z-basis measurement.
-  Circuit native(unit.circuit.num_qubits());
-  std::vector<double> frame(
-      static_cast<std::size_t>(unit.circuit.num_qubits()), 0.0);
-  for (const auto& op : intermediate) {
-    if (op.kind == OpKind::kBarrier || op.kind == OpKind::kMeasure ||
-        op.kind == OpKind::kCz) {
-      native.append(op);
-      continue;
-    }
-    const U3 u = u3_of(op);
-    const auto q = static_cast<std::size_t>(op.qubits[0]);
-    if (!is_multiple_of_two_pi(u.theta)) {
-      native.prx(u.theta, kHalfPi - u.lambda - frame[q], op.qubits[0]);
-    }
-    frame[q] += u.phi + u.lambda;
-  }
-  unit.circuit = std::move(native);
+  const int n = unit.circuit.num_qubits();
+  unit.circuit =
+      to_circuit(lowering::decompose_native(unit.circuit.ops(), n), n);
   unit.dialect = Dialect::kNative;
 }
-
-// ---------------------------------------------------------------------------
-// Peephole optimization
-// ---------------------------------------------------------------------------
 
 void PeepholePass::run(CompilationUnit& unit,
                        const qdmi::DeviceInterface& device) const {
   (void)device;
   expects(unit.dialect == Dialect::kNative,
           "PeepholePass: expected the native dialect");
-
-  std::vector<Operation> ops(unit.circuit.ops().begin(),
-                             unit.circuit.ops().end());
-  bool changed = true;
-  int iterations = 0;
-  while (changed && iterations++ < 32) {
-    changed = false;
-    // last_touch[q]: index into `result` of the last op acting on q.
-    std::vector<long> last_touch(
-        static_cast<std::size_t>(unit.circuit.num_qubits()), -1);
-    std::vector<Operation> result;
-    result.reserve(ops.size());
-
-    const auto touch = [&](const Operation& op) {
-      for (int q : op.qubits)
-        last_touch[static_cast<std::size_t>(q)] =
-            static_cast<long>(result.size());
-    };
-
-    for (const auto& op : ops) {
-      if (op.kind == OpKind::kPrx && is_multiple_of_two_pi(op.params[0])) {
-        changed = true;
-        continue;  // identity rotation
-      }
-      if (op.kind == OpKind::kPrx) {
-        const auto q = static_cast<std::size_t>(op.qubits[0]);
-        const long prev = last_touch[q];
-        if (prev >= 0) {
-          Operation& before = result[static_cast<std::size_t>(prev)];
-          if (before.kind == OpKind::kPrx && before.qubits == op.qubits &&
-              std::abs(std::remainder(before.params[1] - op.params[1],
-                                      2.0 * M_PI)) < 1e-12) {
-            before.params[0] += op.params[0];  // same-axis fusion
-            changed = true;
-            continue;
-          }
-        }
-      }
-      if (op.kind == OpKind::kCz) {
-        const auto a = static_cast<std::size_t>(op.qubits[0]);
-        const auto b = static_cast<std::size_t>(op.qubits[1]);
-        const long pa = last_touch[a];
-        if (pa >= 0 && pa == last_touch[b]) {
-          const Operation& before = result[static_cast<std::size_t>(pa)];
-          if (before.kind == OpKind::kCz &&
-              ((before.qubits[0] == op.qubits[0] &&
-                before.qubits[1] == op.qubits[1]) ||
-               (before.qubits[0] == op.qubits[1] &&
-                before.qubits[1] == op.qubits[0]))) {
-            // CZ . CZ = I: drop both. Mark the earlier one as identity PRX
-            // so indices stay stable, and skip this one.
-            result[static_cast<std::size_t>(pa)] = {OpKind::kPrx,
-                                                    {op.qubits[0]},
-                                                    {0.0, 0.0}};
-            changed = true;
-            continue;
-          }
-        }
-      }
-      if (op.kind == OpKind::kBarrier) {
-        std::fill(last_touch.begin(), last_touch.end(),
-                  static_cast<long>(result.size()));
-        result.push_back(op);
-        continue;
-      }
-      touch(op);
-      result.push_back(op);
-    }
-    ops = std::move(result);
-  }
-
-  Circuit cleaned(unit.circuit.num_qubits());
-  for (auto& op : ops) {
-    if (op.kind == OpKind::kPrx && is_multiple_of_two_pi(op.params[0]))
-      continue;  // identities introduced by CZ cancellation
-    cleaned.append(std::move(op));
-  }
-  unit.circuit = std::move(cleaned);
+  const int n = unit.circuit.num_qubits();
+  unit.circuit = to_circuit(lowering::peephole(unit.circuit.ops(), n), n);
 }
 
 // ---------------------------------------------------------------------------

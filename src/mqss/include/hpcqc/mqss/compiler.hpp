@@ -9,7 +9,7 @@
 
 namespace hpcqc::mqss {
 
-/// Dialect levels of the progressive-lowering pipeline, mirroring the
+/// Dialect levels of the progressive-lowering pipeline, modeled on the
 /// MLIR-based MQSS compiler: frontend circuits arrive in the *core* dialect
 /// (any gate in the vocabulary, virtual qubits), and lowering produces the
 /// *native* dialect (PRX/CZ on physical qubits, topology-legal).
@@ -136,6 +136,7 @@ private:
 
 /// Lowers every gate to the native set {PRX, CZ} using virtual-Z phase
 /// tracking (RZ costs nothing on this hardware: it is a frame update).
+/// compile_template runs the same lowering on affine angles.
 class NativeDecompositionPass final : public Pass {
 public:
   std::string name() const override { return "decompose-native"; }

@@ -164,6 +164,14 @@ private:
   /// Mirrors a lookup outcome into the bound counters/gauges (calling
   /// thread only).
   void mirror_cache_metrics(bool hit, bool structure) const;
+  /// The guarded body run() and run_parametric() share: the run counter,
+  /// the qpu.run span, the QDMI-query and QPU-status checks, and the error
+  /// status on the span. `caller` prefixes the check failures' messages;
+  /// `compile` maps the run span to the program to execute.
+  template <typename CompileFn>
+  RunResult run_guarded(const char* caller, std::size_t shots,
+                        obs::TraceContext parent, bool parametric,
+                        CompileFn compile);
   /// compile_only() plus a compile span (per-pass children, cache
   /// attributes) under `parent` when tracing is on.
   CompiledProgram compile_traced(const circuit::Circuit& circuit,
@@ -172,8 +180,13 @@ private:
   CompiledProgram compile_parametric_traced(
       const circuit::ParametricCircuit& circuit,
       const std::map<std::string, double>& binding, obs::Span& parent);
-  /// Adds the cache-stats attributes the satellite dashboards read.
-  void annotate_cache_stats(obs::Span& span) const;
+  /// Marks `span` with the cache outcome and calibration epoch and, on a
+  /// miss, adds one child span per pass in `program`'s trace.
+  void trace_passes(obs::Span& span, bool hit,
+                    const CompiledProgram& program) const;
+  /// Adds the program's size and the cache-stats attributes the satellite
+  /// dashboards read.
+  void annotate_compile(obs::Span& span, const CompiledProgram& program) const;
   /// The shared post-compile path of run()/run_parametric(): execution
   /// fault sites, execute span, result assembly.
   RunResult finish_run(const CompiledProgram& program, std::size_t shots,

@@ -34,10 +34,12 @@ struct ParamSlot {
 ///
 /// Equivalence contract: for every binding theta,
 ///   bind(theta).native_circuit  ~  compile(source.bind(theta))
-/// up to verify::FrameTolerance::kOutputZFrame. The programs need not be
-/// structurally identical — a cold compile may drop rotations that happen
-/// to be identities at one particular theta, while the template keeps every
-/// symbol-dependent rotation so it stays correct for all bindings.
+/// up to verify::FrameTolerance::kOutputZFrame. Both run one lowering, so
+/// the programs differ only where an angle is symbolic: a cold compile
+/// drops rotations that are identities at one particular theta (and the
+/// frames those rotations shift), while the template keeps every
+/// symbol-dependent rotation so it stays correct for all bindings. Without
+/// symbols, bind({}) equals compile() exactly.
 struct CompiledTemplate {
   /// Native program with every slot angle at its affine constant (i.e. the
   /// all-zeros binding). Never execute `base` directly for a parametric
@@ -57,8 +59,8 @@ struct CompiledTemplate {
 };
 
 /// The structure phase: runs placement and routing on the parameter-free
-/// skeleton (neither pass reads angles), then mirrors native decomposition
-/// and the peephole through affine angle arithmetic, so every symbol's
+/// skeleton (neither pass reads angles), then the cold compile's native
+/// decomposition and peephole on affine angles, so every symbol's
 /// contribution to every native angle is tracked exactly. Conservative by
 /// construction: a rotation whose angle depends on a symbol is never
 /// dropped or fused away unless the dependence provably cancels.

@@ -153,27 +153,29 @@ StructureCache::Lookup QpuService::lookup_structure(
   return lookup;
 }
 
-RunResult QpuService::run(const circuit::Circuit& circuit, std::size_t shots,
-                          obs::TraceContext parent) {
-  expects(shots > 0, "QpuService::run: need at least one shot");
+template <typename CompileFn>
+RunResult QpuService::run_guarded(const char* caller, std::size_t shots,
+                                  obs::TraceContext parent, bool parametric,
+                                  CompileFn compile) {
   if (m_runs_ != nullptr) m_runs_->inc();
   obs::Span span;  // inert without a tracer
   if (tracer_ != nullptr) {
     span = tracer_->span("qpu.run", parent);
     span.set_attribute("shots", std::to_string(shots));
+    if (parametric) span.set_attribute("parametric", "true");
   }
   try {
     if (fault_active(fault::FaultSite::kQdmiQuery))
-      throw TransientError("QpuService::run: QDMI metric query timed out",
-                           ErrorCode::kTimeout);
+      throw TransientError(
+          std::string(caller) + ": QDMI metric query timed out",
+          ErrorCode::kTimeout);
     const auto status = qdmi_->status();
     if (status == qdmi::DeviceStatus::kOffline ||
         status == qdmi::DeviceStatus::kMaintenance)
-      throw TransientError(std::string("QpuService::run: QPU unavailable (") +
+      throw TransientError(std::string(caller) + ": QPU unavailable (" +
                                qdmi::to_string(status) + ")",
                            ErrorCode::kDeviceUnavailable);
-    const CompiledProgram program = compile_traced(circuit, span);
-    return finish_run(program, shots, span);
+    return finish_run(compile(span), shots, span);
   } catch (const Error& error) {
     if (span) {
       span.add_event("error", error.what());
@@ -183,40 +185,24 @@ RunResult QpuService::run(const circuit::Circuit& circuit, std::size_t shots,
   }
 }
 
+RunResult QpuService::run(const circuit::Circuit& circuit, std::size_t shots,
+                          obs::TraceContext parent) {
+  expects(shots > 0, "QpuService::run: need at least one shot");
+  return run_guarded("QpuService::run", shots, parent, false,
+                     [&](obs::Span& span) {
+                       return compile_traced(circuit, span);
+                     });
+}
+
 RunResult QpuService::run_parametric(const circuit::ParametricCircuit& circuit,
                                      const std::map<std::string, double>& binding,
                                      std::size_t shots,
                                      obs::TraceContext parent) {
   expects(shots > 0, "QpuService::run_parametric: need at least one shot");
-  if (m_runs_ != nullptr) m_runs_->inc();
-  obs::Span span;
-  if (tracer_ != nullptr) {
-    span = tracer_->span("qpu.run", parent);
-    span.set_attribute("shots", std::to_string(shots));
-    span.set_attribute("parametric", "true");
-  }
-  try {
-    if (fault_active(fault::FaultSite::kQdmiQuery))
-      throw TransientError(
-          "QpuService::run_parametric: QDMI metric query timed out",
-          ErrorCode::kTimeout);
-    const auto status = qdmi_->status();
-    if (status == qdmi::DeviceStatus::kOffline ||
-        status == qdmi::DeviceStatus::kMaintenance)
-      throw TransientError(
-          std::string("QpuService::run_parametric: QPU unavailable (") +
-              qdmi::to_string(status) + ")",
-          ErrorCode::kDeviceUnavailable);
-    const CompiledProgram program =
-        compile_parametric_traced(circuit, binding, span);
-    return finish_run(program, shots, span);
-  } catch (const Error& error) {
-    if (span) {
-      span.add_event("error", error.what());
-      span.set_status(obs::SpanStatus::kError);
-    }
-    throw;
-  }
+  return run_guarded("QpuService::run_parametric", shots, parent, true,
+                     [&](obs::Span& span) {
+                       return compile_parametric_traced(circuit, binding, span);
+                     });
 }
 
 RunResult QpuService::finish_run(const CompiledProgram& program,
@@ -254,7 +240,28 @@ RunResult QpuService::finish_run(const CompiledProgram& program,
   return result;
 }
 
-void QpuService::annotate_cache_stats(obs::Span& span) const {
+void QpuService::trace_passes(obs::Span& span, bool hit,
+                              const CompiledProgram& program) const {
+  span.set_attribute("cache", hit ? "hit" : "miss");
+  span.set_attribute("calibration_epoch",
+                     std::to_string(device_->calibration_epoch()));
+  if (hit) return;
+  // Per-pass child spans reconstructed from the pass trace (zero duration
+  // on the simulated clock: JIT compilation is modeled as instantaneous,
+  // its cost lives in the QRM's job_overhead).
+  for (std::size_t i = 0; i < program.pass_trace.size(); ++i) {
+    obs::Span pass_span = span.child("pass:" + program.pass_trace[i]);
+    if (i < program.pass_gate_counts.size())
+      pass_span.set_attribute("gates",
+                              std::to_string(program.pass_gate_counts[i]));
+  }
+}
+
+void QpuService::annotate_compile(obs::Span& span,
+                                  const CompiledProgram& program) const {
+  span.set_attribute("native_gates",
+                     std::to_string(program.native_gate_count));
+  span.set_attribute("swaps", std::to_string(program.swap_count));
   const StructureCacheStats stats = cache_.stats();
   span.set_attribute("cache_hits", std::to_string(stats.hits));
   span.set_attribute("cache_misses", std::to_string(stats.misses));
@@ -275,25 +282,8 @@ CompiledProgram QpuService::compile_traced(const circuit::Circuit& circuit,
   } else {
     program = compile(circuit, *qdmi_, options_);
   }
-  compile_span.set_attribute("cache", hit ? "hit" : "miss");
-  compile_span.set_attribute("calibration_epoch",
-                             std::to_string(device_->calibration_epoch()));
-  if (!hit) {
-    // Per-pass child spans reconstructed from the pass trace (zero duration
-    // on the simulated clock: JIT compilation is modeled as instantaneous,
-    // its cost lives in the QRM's job_overhead).
-    for (std::size_t i = 0; i < program.pass_trace.size(); ++i) {
-      obs::Span pass_span = compile_span.child("pass:" +
-                                               program.pass_trace[i]);
-      if (i < program.pass_gate_counts.size())
-        pass_span.set_attribute(
-            "gates", std::to_string(program.pass_gate_counts[i]));
-    }
-  }
-  compile_span.set_attribute("native_gates",
-                             std::to_string(program.native_gate_count));
-  compile_span.set_attribute("swaps", std::to_string(program.swap_count));
-  annotate_cache_stats(compile_span);
+  trace_passes(compile_span, hit, program);
+  annotate_compile(compile_span, program);
   return program;
 }
 
@@ -314,18 +304,7 @@ CompiledProgram QpuService::compile_parametric_traced(
       tmpl = std::make_shared<const CompiledTemplate>(
           compile_template(circuit, *qdmi_, options_));
     }
-    structure_span.set_attribute("cache", hit ? "hit" : "miss");
-    structure_span.set_attribute("calibration_epoch",
-                                 std::to_string(device_->calibration_epoch()));
-    if (!hit) {
-      for (std::size_t i = 0; i < tmpl->base.pass_trace.size(); ++i) {
-        obs::Span pass_span =
-            structure_span.child("pass:" + tmpl->base.pass_trace[i]);
-        if (i < tmpl->base.pass_gate_counts.size())
-          pass_span.set_attribute(
-              "gates", std::to_string(tmpl->base.pass_gate_counts[i]));
-      }
-    }
+    trace_passes(structure_span, hit, tmpl->base);
   }
   CompiledProgram program;
   {
@@ -336,10 +315,7 @@ CompiledProgram QpuService::compile_parametric_traced(
                             std::to_string(tmpl->parameters.size()));
   }
   compile_span.set_attribute("cache", hit ? "hit" : "miss");
-  compile_span.set_attribute("native_gates",
-                             std::to_string(program.native_gate_count));
-  compile_span.set_attribute("swaps", std::to_string(program.swap_count));
-  annotate_cache_stats(compile_span);
+  annotate_compile(compile_span, program);
   return program;
 }
 

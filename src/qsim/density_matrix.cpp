@@ -70,6 +70,10 @@ void DensityMatrix::apply_2q(const Matrix4& u, int qubit0, int qubit1) {
   super_.apply_2q(conjugated(u), qubit0, qubit1);
 }
 
+void DensityMatrix::apply_cphase(double theta, int qubit0, int qubit1) {
+  apply_2q(gate_cphase(theta), qubit0, qubit1);
+}
+
 void DensityMatrix::apply_kraus_1q(std::span<const Matrix2> kraus,
                                    int qubit) {
   expects(!kraus.empty(), "DensityMatrix::apply_kraus_1q: empty Kraus set");
@@ -126,28 +130,6 @@ void DensityMatrix::apply_depolarizing_2q(int qubit0, int qubit1, double p) {
       accumulated[i] += weight * amps[i];
   }
   super_.mutable_amplitudes() = std::move(accumulated);
-}
-
-void DensityMatrix::apply_amplitude_damping(int qubit, double gamma) {
-  expects(gamma >= 0.0 && gamma <= 1.0,
-          "DensityMatrix::apply_amplitude_damping: gamma outside [0,1]");
-  const Matrix2 k0{Complex{1.0, 0.0}, Complex{0.0, 0.0}, Complex{0.0, 0.0},
-                   Complex{std::sqrt(1.0 - gamma), 0.0}};
-  const Matrix2 k1{Complex{0.0, 0.0}, Complex{std::sqrt(gamma), 0.0},
-                   Complex{0.0, 0.0}, Complex{0.0, 0.0}};
-  const Matrix2 kraus[] = {k0, k1};
-  apply_kraus_1q(kraus, qubit);
-}
-
-void DensityMatrix::apply_phase_damping(int qubit, double lambda) {
-  expects(lambda >= 0.0 && lambda <= 1.0,
-          "DensityMatrix::apply_phase_damping: lambda outside [0,1]");
-  Matrix2 k0 = gate_i();
-  Matrix2 k1 = gate_z();
-  for (auto& entry : k0) entry *= std::sqrt(1.0 - lambda);
-  for (auto& entry : k1) entry *= std::sqrt(lambda);
-  const Matrix2 kraus[] = {k0, k1};
-  apply_kraus_1q(kraus, qubit);
 }
 
 double DensityMatrix::trace() const {

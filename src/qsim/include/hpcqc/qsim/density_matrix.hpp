@@ -28,6 +28,8 @@ public:
   /// rho -> U rho U† on one / two qubits.
   void apply_1q(const Matrix2& u, int qubit);
   void apply_2q(const Matrix4& u, int qubit0, int qubit1);
+  /// The controlled-phase diagonal as a dense apply_2q.
+  void apply_cphase(double theta, int qubit0, int qubit1);
 
   /// rho -> sum_k K_k rho K_k† (single-qubit Kraus set).
   void apply_kraus_1q(std::span<const Matrix2> kraus, int qubit);
@@ -43,12 +45,6 @@ public:
   /// step, which is what lets the differential oracle in `verify/` compare
   /// the two simulators without sampling error on this side.
   void apply_depolarizing_2q(int qubit0, int qubit1, double p);
-
-  /// Amplitude damping with decay probability gamma (T1 channel).
-  void apply_amplitude_damping(int qubit, double gamma);
-
-  /// Phase damping as a Z-flip with probability lambda.
-  void apply_phase_damping(int qubit, double lambda);
 
   /// tr(rho): 1 for any physical evolution.
   double trace() const;

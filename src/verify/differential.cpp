@@ -3,7 +3,6 @@
 #include "hpcqc/circuit/execute.hpp"
 #include "hpcqc/common/error.hpp"
 #include "hpcqc/qsim/density_matrix.hpp"
-#include "hpcqc/qsim/gates.hpp"
 
 namespace hpcqc::verify {
 
@@ -16,23 +15,14 @@ std::vector<double> exact_noisy_distribution(
           "exact_noisy_distribution: readout must index dense qubits");
 
   qsim::DensityMatrix rho(n);
-  for (const auto& op : program.ops()) {
-    switch (op.kind) {
-      case device::CompiledOp::Kind::kFused1q:
-        rho.apply_1q(op.m2, op.q0);
-        if (op.error_prob > 0.0) rho.apply_depolarizing(op.q0, op.error_prob);
-        break;
-      case device::CompiledOp::Kind::kDense2q:
-        rho.apply_2q(op.m4, op.q0, op.q1);
-        if (op.error_prob > 0.0)
-          rho.apply_depolarizing_2q(op.q0, op.q1, op.error_prob);
-        break;
-      case device::CompiledOp::Kind::kCphase:
-        rho.apply_2q(qsim::gate_cphase(op.theta), op.q0, op.q1);
-        if (op.error_prob > 0.0)
-          rho.apply_depolarizing_2q(op.q0, op.q1, op.error_prob);
-        break;
-    }
+  for (std::size_t i = 0; i < program.ops().size(); ++i) {
+    program.apply_step(rho, i);
+    const auto& op = program.ops()[i];
+    if (op.error_prob <= 0.0) continue;
+    if (op.kind == device::CompiledOp::Kind::kFused1q)
+      rho.apply_depolarizing(op.q0, op.error_prob);
+    else
+      rho.apply_depolarizing_2q(op.q0, op.q1, op.error_prob);
   }
 
   // Readout confusion, applied analytically per qubit axis: the classical

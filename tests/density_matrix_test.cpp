@@ -70,28 +70,6 @@ TEST(DensityMatrix, DepolarizingReducesPurityPreservesTrace) {
   EXPECT_NEAR(mixed.element(0, 0).real(), 0.5, 1e-12);
 }
 
-TEST(DensityMatrix, AmplitudeDampingSteadyState) {
-  DensityMatrix rho(1);
-  rho.apply_1q(gate_x(), 0);  // |1><1|
-  rho.apply_amplitude_damping(0, 0.4);
-  EXPECT_NEAR(rho.probabilities()[1], 0.6, 1e-12);
-  EXPECT_NEAR(rho.trace(), 1.0, 1e-12);
-  // Repeated damping relaxes fully to |0>.
-  for (int i = 0; i < 60; ++i) rho.apply_amplitude_damping(0, 0.4);
-  EXPECT_NEAR(rho.probabilities()[0], 1.0, 1e-9);
-  EXPECT_NEAR(rho.purity(), 1.0, 1e-9);
-}
-
-TEST(DensityMatrix, PhaseDampingKillsCoherenceKeepsPopulations) {
-  DensityMatrix rho(1);
-  rho.apply_1q(gate_h(), 0);
-  EXPECT_NEAR(std::abs(rho.element(0, 1)), 0.5, 1e-12);
-  rho.apply_phase_damping(0, 0.5);  // full dephasing at lambda = 1/2
-  EXPECT_NEAR(std::abs(rho.element(0, 1)), 0.0, 1e-12);
-  EXPECT_NEAR(rho.probabilities()[0], 0.5, 1e-12);
-  EXPECT_NEAR(rho.probabilities()[1], 0.5, 1e-12);
-}
-
 TEST(DensityMatrix, Depolarizing2qPreservesTraceAndIsIdentityAtZero) {
   DensityMatrix rho(2);
   rho.apply_1q(gate_h(), 0);

@@ -18,6 +18,7 @@
 #include "hpcqc/common/sim_clock.hpp"
 #include "hpcqc/device/presets.hpp"
 #include "hpcqc/mqss/compiler.hpp"
+#include "hpcqc/mqss/template.hpp"
 #include "hpcqc/qdmi/model_device.hpp"
 #include "hpcqc/verify/harness.hpp"
 
@@ -200,6 +201,52 @@ TEST_F(FuzzTest, BindPatchingMatchesColdCompileForEveryOptionCombination) {
   // The fuzz must have exercised the bind phase, not just zero-slot
   // templates.
   EXPECT_GT(total_slots, 0u);
+}
+
+TEST_F(FuzzTest, LiteralTemplateBindsToTheColdCompileExactly) {
+  // compile() and compile_template() run one lowering, so a template whose
+  // angles are all literals binds to exactly the cold compile's program:
+  // the same ops and angle bits, layout, pass trace and per-pass gate
+  // counts, not only a program equal up to the output-Z frame.
+  const CircuitFuzzer fuzzer;
+  const std::size_t per_config = seeds_per_config();
+  std::uint64_t seed = 0;
+  for (const auto placement : {mqss::PlacementStrategy::kStatic,
+                               mqss::PlacementStrategy::kFidelityAware}) {
+    for (const bool optimize : {false, true}) {
+      for (const bool fidelity_routing : {false, true}) {
+        const mqss::CompilerOptions options{placement, optimize,
+                                            fidelity_routing};
+        std::size_t mismatches = 0;
+        std::uint64_t first_mismatch = 0;
+        for (std::size_t i = 0; i < per_config; ++i, ++seed) {
+          const circuit::Circuit source = fuzzer.generate(seed);
+          circuit::ParametricCircuit lifted(source.num_qubits());
+          for (const auto& op : source.ops()) {
+            circuit::ParametricOperation literal{op.kind, op.qubits, {}};
+            for (const double value : op.params)
+              literal.params.push_back(circuit::ParamExpr::literal(value));
+            lifted.append(std::move(literal));
+          }
+          const mqss::CompiledProgram cold =
+              mqss::compile(source, qdmi_, options);
+          const mqss::CompiledProgram bound =
+              mqss::compile_template(lifted, qdmi_, options).bind({});
+          if (bound.native_circuit == cold.native_circuit &&
+              bound.initial_layout == cold.initial_layout &&
+              bound.pass_trace == cold.pass_trace &&
+              bound.pass_gate_counts == cold.pass_gate_counts &&
+              bound.swap_count == cold.swap_count)
+            continue;
+          if (mismatches++ == 0) first_mismatch = seed;
+        }
+        EXPECT_EQ(mismatches, 0u)
+            << "placement=" << mqss::to_string(placement)
+            << " optimize=" << optimize << " routing=" << fidelity_routing
+            << ", first at seed " << first_mismatch;
+      }
+    }
+  }
 }
 
 TEST_F(FuzzTest, ParametrizeRoundTripsTheSourceCircuit) {
