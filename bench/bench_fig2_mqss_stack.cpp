@@ -31,8 +31,8 @@ namespace {
 using namespace hpcqc;
 
 // Brickwork hardware-efficient ansatz: `layers` rounds of per-qubit RY
-// rotations (each a fresh symbol) separated by CZ entanglers. The shape the
-// compile farm exists for: one structure, thousands of bindings.
+// rotations (each a fresh symbol) separated by CZ entanglers. The shape
+// two-phase compilation exists for: one structure, thousands of bindings.
 circuit::ParametricCircuit vqe_ansatz(int qubits, int layers) {
   circuit::ParametricCircuit ansatz(qubits);
   int next = 0;
@@ -105,7 +105,7 @@ void print_reproduction() {
   }
   std::cout << '\n';
 
-  std::cout << "Compile farm: two-phase parameterized compilation:\n";
+  std::cout << "Two-phase parameterized compilation:\n";
   const auto ansatz = vqe_ansatz(6, 2);
   const auto before = service.cache_stats();
   const auto tmpl = service.compile_structure(ansatz);
@@ -163,9 +163,9 @@ void BM_EndToEndSubmitHpcPath(benchmark::State& state) {
 }
 BENCHMARK(BM_EndToEndSubmitHpcPath)->Unit(benchmark::kMicrosecond);
 
-// Phase 1 of the compile farm: the full pass pipeline (placement, routing,
-// native decomposition, 1q fusion) with parameters kept symbolic. This is
-// what a cache miss costs.
+// Phase 1 of two-phase compilation: the full pass pipeline (placement,
+// routing, native decomposition, 1q fusion) with parameters kept symbolic.
+// This is what a cache miss costs.
 void BM_StructureCompileCold(benchmark::State& state) {
   Rng rng(4);
   SimClock clock;

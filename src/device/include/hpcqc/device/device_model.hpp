@@ -57,7 +57,7 @@ inline constexpr std::size_t kExecBatchShots = 64;
 
 /// Caller-owned slot for the per-job compilation execute() performs. When a
 /// caller replays the same circuit *shape* at different parameter bindings
-/// (the compile-farm tight loop), passing the same PreparedProgram lets
+/// (the variational tight loop), passing the same PreparedProgram lets
 /// execute() rebind the cached program's angles instead of re-densifying and
 /// re-fusing from scratch. Validity is keyed on the circuit's shape_hash()
 /// and the device's noise_version(); a mismatch on either recompiles in

@@ -87,7 +87,7 @@ OpenLoopDriver::OpenLoopDriver(Config config) : config_(std::move(config)) {
 
 LoadReport OpenLoopDriver::run(sched::Qrm& qrm, const JobFactory& factory,
                                const std::vector<Arrival>& schedule) const {
-  sched::AdmissionGateway gateway(qrm, config_.gateway);
+  sched::AdmissionGateway gateway(qrm, {});
   const Seconds start = qrm.now();
   std::vector<std::pair<std::uint64_t, int>> outcomes;
   outcomes.reserve(schedule.size());
@@ -122,7 +122,7 @@ LoadReport OpenLoopDriver::run(sched::Qrm& qrm, const JobFactory& factory,
     next = last;
     slice_end += config_.slice;
   }
-  if (config_.drain_at_end) qrm.drain();
+  qrm.drain();
 
   LoadReport report;
   report.offered = schedule.size();

@@ -65,17 +65,16 @@ struct LoadReport {
 
 /// Open-loop campaign driver: walks the schedule in fixed simulated-time
 /// slices; within each slice, `ingest_threads` real threads materialize
-/// and offer() the slice's arrivals concurrently through the lock-free
-/// gateway, then the driver joins them and drains into the QRM at the
-/// slice boundary. Arrival tickets restore canonical admission order, so
-/// the report is bit-identical for any ingest_threads value.
+/// and offer() the slice's arrivals concurrently through a default-sized
+/// lock-free gateway, then run() joins them and drains into the QRM at the
+/// slice boundary. After the last slice it runs the QRM dry. Arrival
+/// tickets restore canonical admission order, so the report is
+/// bit-identical for any ingest_threads value.
 class OpenLoopDriver {
 public:
   struct Config {
     std::size_t ingest_threads = 4;
     Seconds slice = minutes(10.0);
-    sched::AdmissionGateway::Config gateway;
-    bool drain_at_end = true;  ///< run the QRM dry after the last slice
   };
 
   explicit OpenLoopDriver(Config config);

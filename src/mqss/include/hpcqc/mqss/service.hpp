@@ -9,7 +9,6 @@
 #include "hpcqc/common/sim_clock.hpp"
 #include "hpcqc/device/device_model.hpp"
 #include "hpcqc/fault/injector.hpp"
-#include "hpcqc/mqss/compile_farm.hpp"
 #include "hpcqc/mqss/compiler.hpp"
 #include "hpcqc/mqss/structure_cache.hpp"
 #include "hpcqc/mqss/template.hpp"
@@ -47,8 +46,7 @@ struct RunResult {
 /// so a mask flip that does not bump the device epoch (e.g. a sensor-driven
 /// telemetry view) still invalidates affected entries. The *bind phase*
 /// patches a ParametricCircuit binding's angles into the cached template
-/// without re-running any pass. An optional CompileFarm runs structure
-/// misses on background workers with single-flight dedup.
+/// without re-running any pass.
 class QpuService {
 public:
   QpuService(device::DeviceModel& device, const qdmi::DeviceInterface& qdmi,
@@ -97,21 +95,6 @@ public:
       const circuit::ParametricCircuit& circuit,
       const std::map<std::string, double>& binding) const;
 
-  /// Queues the structure compile for `circuit` on the attached farm (a
-  /// no-op without a farm or with the cache disabled). The QRM prefetches
-  /// every queued parametric job before dispatching, so N distinct misses
-  /// compile concurrently while single-flight dedup keeps each key's
-  /// compile unique.
-  void prefetch_structure(
-      std::shared_ptr<const circuit::ParametricCircuit> circuit) const;
-
-  /// Attaches a compile-worker pool (must outlive the service; nullptr
-  /// detaches). Only prefetch_structure() uses it — foreground compiles
-  /// stay on the calling thread, so results and stats are bit-identical at
-  /// any worker count.
-  void set_compile_farm(CompileFarm* farm) { farm_ = farm; }
-  CompileFarm* compile_farm() const { return farm_; }
-
   /// Attaches a fault injector + the clock used to position queries inside
   /// its windows. Both must outlive the service; pass nullptr to detach.
   void set_fault_context(const fault::FaultInjector* injector,
@@ -125,8 +108,7 @@ public:
   /// mqss.compile_cache_hits / _misses / _evictions, the
   /// mqss.compile_cache_hit_rate gauge, and the parametric-path
   /// mqss.structure_cache_hits / _misses / _size). Must outlive the
-  /// service. Metrics are mirrored on the calling thread only — farm
-  /// workers never touch the registry.
+  /// service. Metrics are mirrored on the calling thread only.
   void set_metrics(obs::MetricsRegistry* registry);
 
   /// Names the device this service fronts. The name is folded into every
@@ -200,7 +182,6 @@ private:
   const fault::FaultInjector* injector_ = nullptr;
   const SimClock* clock_ = nullptr;
   obs::Tracer* tracer_ = nullptr;
-  CompileFarm* farm_ = nullptr;
   obs::Counter* m_runs_ = nullptr;
   obs::Counter* m_runs_emulated_ = nullptr;
   obs::Counter* m_cache_hits_ = nullptr;

@@ -13,10 +13,8 @@
 namespace hpcqc::mqss {
 
 /// Point-in-time statistics of a StructureCache. Hits and misses count
-/// get_or_compile() calls (a get that joins an in-flight compile, or that
-/// first touches a prefetched entry, is a miss: the work was paid for on
-/// its behalf this epoch). Prefetches never count — whether a background
-/// compile finishes before the foreground get must not change the stats.
+/// get_or_compile() calls (a get that joins an in-flight compile is a miss:
+/// the work was paid for on its behalf).
 struct StructureCacheStats {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
@@ -41,8 +39,7 @@ struct StructureCacheStats {
 /// Single-flight: N concurrent get_or_compile() calls under one key run the
 /// factory exactly once — the first caller compiles, the rest block on its
 /// result. A factory exception propagates to every waiter of that flight
-/// and caches nothing. prefetch() runs the same protocol from a background
-/// worker without blocking stats or LRU order on worker timing.
+/// and caches nothing.
 class StructureCache {
 public:
   explicit StructureCache(std::size_t capacity = 256);
@@ -59,13 +56,6 @@ public:
   /// miss. Blocks when another thread is already compiling `key`.
   Lookup get_or_compile(std::uint64_t key, const Factory& factory);
 
-  /// Background fill: compiles `key` via `factory` unless it is already
-  /// cached or in flight. Exceptions are swallowed (the foreground get
-  /// will recompile and surface them on its own thread). The first
-  /// get_or_compile() to touch a prefetched entry still counts a miss, so
-  /// hit/miss statistics are identical at any worker count.
-  void prefetch(std::uint64_t key, const Factory& factory);
-
   /// Capacity must be positive; shrinking evicts least-recently-used
   /// entries immediately.
   void set_capacity(std::size_t capacity);
@@ -77,8 +67,6 @@ public:
 private:
   struct Entry {
     Value value;
-    /// Filled by prefetch and not yet claimed by a get (see prefetch()).
-    bool prefetched = false;
     std::list<std::uint64_t>::iterator lru;
   };
 

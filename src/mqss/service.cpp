@@ -363,23 +363,6 @@ CompiledProgram QpuService::compile_parametric(
   return compile_structure(circuit)->bind(binding);
 }
 
-void QpuService::prefetch_structure(
-    std::shared_ptr<const circuit::ParametricCircuit> circuit) const {
-  if (farm_ == nullptr || !cache_enabled_ || circuit == nullptr) return;
-  // The key (and its QDMI health queries) is computed here, on the
-  // orchestration thread — workers only run the pure compile.
-  const std::uint64_t key = cache_key(circuit->structural_hash());
-  StructureCache* cache = &cache_;
-  const qdmi::DeviceInterface* qdmi = qdmi_;
-  const CompilerOptions options = options_;
-  farm_->enqueue([cache, key, qdmi, options, circuit = std::move(circuit)] {
-    cache->prefetch(key, [&] {
-      return std::make_shared<const CompiledTemplate>(
-          compile_template(*circuit, *qdmi, options));
-    });
-  });
-}
-
 void QpuService::set_compile_cache_enabled(bool enabled) {
   cache_enabled_ = enabled;
   if (!enabled) cache_.clear();

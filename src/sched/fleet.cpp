@@ -42,9 +42,6 @@ Fleet::Fleet(Config config, Rng& rng, EventLog* log,
       &registry_->counter("fleet.migration_dead_letters");
   m_devices_online_ = &registry_->gauge("fleet.devices_online");
   m_devices_calibrating_ = &registry_->gauge("fleet.devices_calibrating");
-  journal_ = config_.durability.sink;
-  if (config_.compile_workers > 0)
-    farm_ = std::make_unique<mqss::CompileFarm>(config_.compile_workers);
 }
 
 void Fleet::emit(FleetEvent event) {
@@ -83,11 +80,9 @@ int Fleet::add_device(std::unique_ptr<device::DeviceModel> model,
   // The per-device QRM owns a private registry so its qrm.* series stay
   // per-device; the fleet registry carries the fleet.* aggregates.
   s->qrm = std::make_unique<Qrm>(*s->model, config_.qrm, *rng_, log_);
-  // Every device journals into the shared fleet sink, tagged by its index,
-  // regardless of what config_.qrm.durability said (the fleet owns tagging).
+  // Every device journals into the shared fleet sink, tagged by its index.
   s->qrm->set_journal(journal_, index);
   s->qrm->set_compile_service(s->service.get());
-  if (farm_ != nullptr) s->service->set_compile_farm(farm_.get());
   s->service->set_metrics(&s->qrm->metrics_registry());
   if (tracer_ != nullptr) {
     s->qrm->set_tracer(tracer_);
@@ -401,7 +396,7 @@ void Fleet::rebalance() {
           m_migration_dead_letters_->inc();
         }
       }
-    } else if (config_.migrate_on_mask && !s.model->health().all_healthy()) {
+    } else if (!s.model->health().all_healthy()) {
       // Masked but serving: move only the jobs the mask strands (width no
       // longer fits the largest healthy component) — everything else keeps
       // its place while targeted recalibration repairs the device.

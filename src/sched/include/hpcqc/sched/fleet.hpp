@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "hpcqc/common/sim_clock.hpp"
-#include "hpcqc/mqss/compile_farm.hpp"
 #include "hpcqc/mqss/service.hpp"
 #include "hpcqc/qdmi/model_device.hpp"
 #include "hpcqc/sched/qrm.hpp"
@@ -55,16 +54,6 @@ public:
     /// Devices advance in lockstep slices of this length; migration and
     /// calibration-slot decisions happen at slice boundaries.
     Seconds coordination_step = minutes(15.0);
-    /// Workers of the shared compile farm (0 = compile inline).
-    std::size_t compile_workers = 0;
-    /// Also migrate queued jobs stranded by a health mask (width no longer
-    /// fits the device's largest healthy component) to peers that fit.
-    bool migrate_on_mask = true;
-    /// Optional shared journal sink: fleet placement/migration events plus
-    /// every device QRM's lifecycle events (tagged with the device index)
-    /// flow into one write-ahead journal. `device_tag` is ignored — the
-    /// fleet assigns tags per slot.
-    DurabilityConfig durability;
   };
 
   /// Fleet-side view of one submission. The per-device lifecycle lives in
@@ -105,7 +94,6 @@ public:
   const Qrm& qrm(int device) const;
   device::DeviceModel& device_model(int device);
   mqss::QpuService& service(int device);
-  mqss::CompileFarm* compile_farm() { return farm_.get(); }
 
   Seconds now() const { return now_; }
   std::size_t devices_online() const;
@@ -129,8 +117,9 @@ public:
 
   /// Re-places pending work: every queued/retry job on an offline device is
   /// migrated to the best healthy peer or dead-lettered when none fits;
-  /// with migrate_on_mask, mask-stranded queued jobs move to peers they
-  /// still fit. Called automatically at slice boundaries.
+  /// queued jobs a health mask strands (width no longer fits the device's
+  /// largest healthy component) move to peers they still fit. Called
+  /// automatically at slice boundaries.
   void rebalance();
 
   /// Takes one device out of service (jobs migrate at the next rebalance —
@@ -152,8 +141,9 @@ public:
   /// hops re-attach to.
   void set_tracer(obs::Tracer* tracer);
 
-  /// Attaches (or replaces) the shared journal sink: fleet events plus
-  /// every existing and future device QRM (tagged by index). The sink must
+  /// Attaches (or replaces) the shared write-ahead journal sink: fleet
+  /// placement/migration events plus every existing and future device
+  /// QRM's lifecycle events (tagged by index) flow into it. The sink must
   /// outlive the fleet; nullptr detaches everywhere.
   void set_journal(JournalSink* sink);
   JournalSink* journal() const { return journal_; }
@@ -207,7 +197,6 @@ private:
   Seconds now_ = 0.0;
   int next_id_ = 1;
   std::vector<std::unique_ptr<Slot>> slots_;
-  std::unique_ptr<mqss::CompileFarm> farm_;
   std::map<int, FleetJobRecord> records_;
   std::map<int, obs::SpanHandle> open_spans_;  ///< fleet root span per job
 

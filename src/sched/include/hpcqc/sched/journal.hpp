@@ -93,12 +93,4 @@ public:
   virtual void on_fleet_event(const FleetEvent& event) { (void)event; }
 };
 
-/// Optional durability wiring carried inside Qrm::Config / Fleet::Config.
-/// The sink must outlive the component. `device_tag` labels this QRM's
-/// events inside a shared fleet journal (the Fleet overrides it per slot).
-struct DurabilityConfig {
-  JournalSink* sink = nullptr;
-  int device_tag = -1;
-};
-
 }  // namespace hpcqc::sched

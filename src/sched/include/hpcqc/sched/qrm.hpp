@@ -53,8 +53,7 @@ struct QuantumJob {
   /// `parametric` at `binding` for admission estimates, and at dispatch
   /// compiles through the service's two-phase structure cache — the
   /// structure phase is shared across every job with the same circuit
-  /// shape, and queued structures are prefetched on the compile farm before
-  /// dispatch. `circuit` is ignored and overwritten with the binding.
+  /// shape. `circuit` is ignored and overwritten with the binding.
   std::shared_ptr<const circuit::ParametricCircuit> parametric{};
   std::map<std::string, double> binding{};
   /// Devices this job has been migrated off (see Fleet). Carried so the
@@ -262,10 +261,6 @@ public:
     RetryPolicy retry;
     /// Bounded-queue admission control and overload shedding.
     AdmissionPolicy admission;
-    /// Optional write-ahead journaling of every lifecycle transition (see
-    /// journal.hpp); a null sink disables durability at one pointer test
-    /// per emission site.
-    DurabilityConfig durability;
   };
 
   /// Throws PermanentError when `config` is invalid (zero capacities,
@@ -293,11 +288,7 @@ public:
   int submit(QuantumJob job);
 
   /// Admits a whole batch in order (the sharded-admission drain path) and
-  /// returns one id per job. Equivalent to calling submit() in a loop,
-  /// plus batched dispatch into the compile farm: every admitted
-  /// parametric structure is prefetched once at the end of the batch, so
-  /// the farm overlaps structure compiles with the rest of the ingest
-  /// window instead of stalling the first dispatch.
+  /// returns one id per job: submit() in a loop.
   std::vector<int> submit_batch(std::vector<QuantumJob> jobs);
 
   /// Estimated time until a job submitted now would start: the remainder
@@ -348,10 +339,7 @@ public:
 
   /// Attaches the compile service parametric jobs dispatch through (must
   /// outlive the QRM; nullptr detaches — parametric submissions then throw
-  /// at submit). When the service has a compile farm attached, the QRM
-  /// prefetches every queued parametric structure and waits for the farm to
-  /// go idle before each dispatch, so all device mutation stays on the
-  /// scheduler thread while compiles are in flight.
+  /// at submit).
   void set_compile_service(mqss::QpuService* service) {
     compile_service_ = service;
   }
@@ -365,9 +353,11 @@ public:
   void set_tracer(obs::Tracer* tracer) { tracer_ = tracer; }
   obs::Tracer* tracer() const { return tracer_; }
 
-  /// Attaches (or replaces) the journal sink after construction — the path
-  /// Fleet::add_device uses to tag each device's events with its fleet
-  /// index. The sink must outlive the QRM; nullptr detaches.
+  /// Attaches (or replaces) the write-ahead journal sink (see journal.hpp):
+  /// every lifecycle transition is then journaled, tagged with
+  /// `device_tag` (Fleet::add_device passes the device's fleet index). The
+  /// sink must outlive the QRM; nullptr, the default, disables journaling
+  /// at one pointer test per emission site.
   void set_journal(JournalSink* sink, int device_tag = -1) {
     journal_ = sink;
     journal_tag_ = device_tag;

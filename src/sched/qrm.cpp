@@ -220,8 +220,6 @@ Qrm::Qrm(device::DeviceModel& device, Config config, Rng& rng, EventLog* log,
   } else {
     registry_ = metrics;
   }
-  journal_ = config_.durability.sink;
-  journal_tag_ = config_.durability.device_tag;
   bind_metrics();
 }
 
@@ -637,19 +635,6 @@ std::vector<int> Qrm::submit_batch(std::vector<QuantumJob> jobs) {
   std::vector<int> ids;
   ids.reserve(jobs.size());
   for (QuantumJob& job : jobs) ids.push_back(submit(std::move(job)));
-  // Batched dispatch into the compile farm: warm every admitted parametric
-  // structure now (single-flight dedup collapses repeats), so the farm
-  // overlaps compilation with the rest of the ingest window. No wait_idle
-  // here — the dispatch path still barriers before mutating the device.
-  if (compile_service_ != nullptr &&
-      compile_service_->compile_farm() != nullptr) {
-    for (const int id : ids) {
-      const auto it = pending_jobs_.find(id);
-      if (it == pending_jobs_.end() || it->second.parametric == nullptr)
-        continue;
-      compile_service_->prefetch_structure(it->second.parametric);
-    }
-  }
   return ids;
 }
 
@@ -1074,22 +1059,6 @@ void Qrm::begin_next_work() {
   //    supervisor unmasks after targeted recalibration); the first runnable
   //    job is picked instead, so healthy capacity keeps flowing.
   if (!queue_.empty()) {
-    // Warm the structure cache for every queued parametric job before
-    // picking: distinct shapes compile concurrently on the farm while
-    // single-flight dedup collapses duplicates. wait_idle() brackets the
-    // farm work inside this scheduler pass, so later device mutation
-    // (drift, recalibration) never races an in-flight compile.
-    if (compile_service_ != nullptr &&
-        compile_service_->compile_farm() != nullptr) {
-      bool any = false;
-      for (int queued_id : queue_) {
-        const QuantumJob& queued = pending_jobs_.at(queued_id);
-        if (queued.parametric == nullptr) continue;
-        compile_service_->prefetch_structure(queued.parametric);
-        any = true;
-      }
-      if (any) compile_service_->compile_farm()->wait_idle();
-    }
     std::size_t pick = 0;
     if (!device_->health().all_healthy()) {
       const int capacity = static_cast<int>(
@@ -1159,9 +1128,9 @@ void Qrm::begin_next_work() {
       observer = &batch_events;
     }
     if (job.parametric != nullptr) {
-      // Two-phase path: structure from the shared cache (warmed by the
-      // prefetch above), angles patched in, and the device-level program
-      // rebound instead of recompiled when the shape repeats.
+      // Two-phase path: structure from the shared cache, angles patched
+      // in, and the device-level program rebound instead of recompiled
+      // when the shape repeats.
       const mqss::CompiledProgram program =
           compile_service_->compile_parametric(*job.parametric, job.binding);
       record.result =

@@ -67,7 +67,7 @@ FleetEventRecord decode_fleet_event(const std::vector<std::uint8_t>& payload);
 
 /// The JournalSink that writes every Qrm/Fleet lifecycle event into a Wal —
 /// the write-ahead half of the durability story. Attach via
-/// Qrm::Config::durability / Fleet::set_journal.
+/// Qrm::set_journal / Fleet::set_journal.
 class Journal final : public sched::JournalSink {
 public:
   explicit Journal(Wal& wal) : wal_(&wal) {}

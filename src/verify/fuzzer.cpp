@@ -80,7 +80,7 @@ Circuit CircuitFuzzer::generate(std::uint64_t seed) const {
       op.params.push_back(rng.uniform(-2.0 * M_PI, 2.0 * M_PI));
     c.append(std::move(op));
   }
-  if (config_.measure_all) c.measure();
+  c.measure();
   return c;
 }
 

@@ -9,9 +9,10 @@
 namespace hpcqc::verify {
 
 /// Shape of the random circuits the fuzzer emits. The defaults target the
-/// compiler oracle: small registers (so full unitaries stay cheap), the
-/// complete frontend gate vocabulary, and a terminal measure-all so layout
-/// permutations are recoverable from the compiled circuit.
+/// compiler oracle: small registers (so full unitaries stay cheap) and the
+/// complete frontend gate vocabulary. Every circuit ends in a measurement
+/// of every qubit: the compiled-equivalence oracle reads the final wire
+/// permutation off the compiled measure op.
 struct FuzzerConfig {
   int min_qubits = 2;
   int max_qubits = 5;
@@ -22,10 +23,6 @@ struct FuzzerConfig {
   std::vector<circuit::OpKind> vocabulary;
   /// Probability of an op slot becoming a barrier.
   double barrier_prob = 0.02;
-  /// Append a terminal measurement of every qubit (required by the
-  /// compiled-equivalence oracle, which reads the final wire permutation
-  /// off the compiled measure op).
-  bool measure_all = true;
 };
 
 /// Seeded random generator of core-dialect circuits. The entire circuit is

@@ -86,6 +86,23 @@ TEST(Error, PassingChecksAllocateNothing) {
   }
 }
 
+TEST(Error, LocationIsRelativeToTheRepositoryRoot) {
+  // Error text must not depend on where the repository is checked out.
+  try {
+    throw StateError("thrown in the test file");
+  } catch (const Error& err) {
+    EXPECT_EQ(std::string(err.what()).rfind("tests/common_test.cpp:", 0), 0u)
+        << err.what();
+  }
+  try {
+    percentile({}, 0.5);
+    FAIL() << "percentile of an empty sample did not throw";
+  } catch (const PreconditionError& err) {
+    EXPECT_EQ(std::string(err.what()).rfind("src/common/stats.cpp:", 0), 0u)
+        << err.what();
+  }
+}
+
 TEST(Error, TransientVsPermanentTaxonomy) {
   // The retry machinery keys off the code: transient codes are retriable,
   // everything else is not.

@@ -1,7 +1,6 @@
-// Two-phase compilation: structure templates (compile_template / bind),
+// Two-phase compilation: structure templates (compile_template / bind) and
 // the QpuService parametric path (structure cache, compile.structure /
-// compile.bind spans, structure-cache metrics), and farm-backed prefetch
-// determinism.
+// compile.bind spans, structure-cache metrics).
 
 #include <gtest/gtest.h>
 
@@ -11,7 +10,6 @@
 
 #include "hpcqc/common/error.hpp"
 #include "hpcqc/device/presets.hpp"
-#include "hpcqc/mqss/compile_farm.hpp"
 #include "hpcqc/mqss/service.hpp"
 #include "hpcqc/mqss/template.hpp"
 #include "hpcqc/obs/metrics.hpp"
@@ -247,50 +245,6 @@ TEST_F(ParametricServiceTest, RunParametricReplaysBitIdentically) {
     EXPECT_DOUBLE_EQ(warm[i].estimated_fidelity, cold[i].estimated_fidelity);
     EXPECT_EQ(warm[i].initial_layout, cold[i].initial_layout);
   }
-}
-
-TEST_F(ParametricServiceTest, FarmPrefetchIsInvisibleToResultsAndStats) {
-  const auto ansatz = std::make_shared<const circuit::ParametricCircuit>(
-      vqe_ansatz());
-  const std::map<std::string, double> binding{
-      {"a", 0.8}, {"b", 0.2}, {"c", -0.5}};
-
-  // Reference: no farm — foreground compile.
-  const CompiledProgram cold = service_.compile_parametric(*ansatz, binding);
-  const StructureCacheStats cold_stats = service_.cache_stats();
-
-  // Farm-backed service on an identical device: prefetch, then the same
-  // foreground lookups. Program and stats must be bit-identical.
-  Rng rng(8);
-  device::DeviceModel device = device::make_grid(
-      "tmpl-3x3", 3, 3, device::DeviceSpec{}, device::DriftParams{}, rng);
-  SimClock clock;
-  qdmi::ModelBackedDevice view(device, clock);
-  QpuService warmed(device, view, rng);
-  CompileFarm farm(4);
-  warmed.set_compile_farm(&farm);
-  warmed.prefetch_structure(ansatz);
-  farm.wait_idle();
-  EXPECT_EQ(farm.tasks_executed(), 1u);
-  EXPECT_EQ(warmed.cache_stats().misses, 0u);  // prefetch does not count
-
-  const CompiledProgram prefetched =
-      warmed.compile_parametric(*ansatz, binding);
-  EXPECT_EQ(prefetched.native_circuit, cold.native_circuit);
-  EXPECT_EQ(prefetched.initial_layout, cold.initial_layout);
-  const StructureCacheStats warm_stats = warmed.cache_stats();
-  EXPECT_EQ(warm_stats.hits, cold_stats.hits);
-  EXPECT_EQ(warm_stats.misses, cold_stats.misses);
-  EXPECT_EQ(warm_stats.size, cold_stats.size);
-
-  // Prefetch without a farm (or with the cache disabled) is a safe no-op.
-  warmed.set_compile_farm(nullptr);
-  warmed.prefetch_structure(ansatz);
-  warmed.set_compile_farm(&farm);
-  warmed.set_compile_cache_enabled(false);
-  warmed.prefetch_structure(ansatz);
-  farm.wait_idle();
-  EXPECT_EQ(farm.tasks_executed(), 1u);
 }
 
 TEST_F(ParametricServiceTest, DisabledCacheStillCompilesParametric) {

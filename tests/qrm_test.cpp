@@ -14,7 +14,6 @@
 #include "hpcqc/device/presets.hpp"
 #include "hpcqc/fault/fault_plan.hpp"
 #include "hpcqc/fault/injector.hpp"
-#include "hpcqc/mqss/compile_farm.hpp"
 #include "hpcqc/mqss/service.hpp"
 #include "hpcqc/obs/metrics.hpp"
 #include "hpcqc/obs/trace.hpp"
@@ -195,19 +194,16 @@ TEST_F(QrmTest, ParametricJobNeedsACompileService) {
   EXPECT_THROW(qrm_.submit(parametric_job("orphan", 0.3)), PreconditionError);
 }
 
-TEST_F(QrmTest, ParametricJobsPrefetchOnTheFarmAndComplete) {
+TEST_F(QrmTest, ParametricJobsShareOneCachedStructureAndComplete) {
   SimClock clock;
   qdmi::ModelBackedDevice qdmi(device_, clock);
   Rng service_rng(5);
   mqss::QpuService service(device_, qdmi, service_rng);
-  mqss::CompileFarm farm(2);
-  service.set_compile_farm(&farm);
   qrm_.set_compile_service(&service);
   ASSERT_EQ(qrm_.compile_service(), &service);
 
-  // An optimizer burst: same structure, three bindings. Dispatch prefetches
-  // the structure through the farm; every job binds against the one cached
-  // template.
+  // An optimizer burst: same structure, three bindings. Every job binds
+  // against the one cached template.
   std::vector<int> ids;
   for (int i = 0; i < 3; ++i)
     ids.push_back(qrm_.submit(parametric_job("vqe-" + std::to_string(i),
@@ -218,22 +214,9 @@ TEST_F(QrmTest, ParametricJobsPrefetchOnTheFarmAndComplete) {
     EXPECT_EQ(record.state, QuantumJobState::kCompleted);
     EXPECT_EQ(record.result.shots, 200u);
   }
-  EXPECT_GT(farm.tasks_executed(), 0u);  // prefetch really used the pool
   const auto stats = service.cache_stats();
   EXPECT_GE(stats.hits + stats.misses, 3u);
   EXPECT_GE(stats.hits, 1u);  // at least one structure reuse across jobs
-  qrm_.set_compile_service(nullptr);
-}
-
-TEST_F(QrmTest, ParametricJobsWorkWithoutAFarmToo) {
-  SimClock clock;
-  qdmi::ModelBackedDevice qdmi(device_, clock);
-  Rng service_rng(5);
-  mqss::QpuService service(device_, qdmi, service_rng);
-  qrm_.set_compile_service(&service);
-  const int id = qrm_.submit(parametric_job("solo", 0.7));
-  qrm_.drain();
-  EXPECT_EQ(qrm_.record(id).state, QuantumJobState::kCompleted);
   qrm_.set_compile_service(nullptr);
 }
 
@@ -947,8 +930,8 @@ TEST(QrmLifecycle, EveryEdgeEmitsItsEventAndKeepsTheLedger) {
   config.admission.brownout_wait_limit = minutes(25.0);
   config.retry.max_attempts = 2;
   EventKindRecorder sink;
-  config.durability.sink = &sink;
   Qrm qrm(device, config, rng, nullptr);
+  qrm.set_journal(&sink);
   const auto advance_until = [&](const std::function<bool()>& done) {
     for (int s = 0; s < 86400 && !done(); ++s) qrm.advance_to(qrm.now() + 1.0);
     ASSERT_TRUE(done());

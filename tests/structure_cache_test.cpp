@@ -1,8 +1,7 @@
-// The compile-worker pool and the thread-safe structure cache under real
-// concurrency: MPMC draining, inline fallback at zero workers, single-flight
-// dedup, LRU eviction order, prefetch stats invariance, and exception
-// propagation. The CompileFarm / StructureCache suites run under tsan in CI
-// (see CMakePresets.json) — keep all cross-thread traffic data-race-free.
+// The thread-safe structure cache under real concurrency: single-flight
+// dedup, LRU eviction order, exception propagation, and eviction racing
+// in-flight joins. The StructureCache suite runs under tsan in CI (see
+// CMakePresets.json) — keep all cross-thread traffic data-race-free.
 
 #include <gtest/gtest.h>
 
@@ -16,7 +15,6 @@
 #include "hpcqc/common/error.hpp"
 #include "hpcqc/common/sim_clock.hpp"
 #include "hpcqc/device/presets.hpp"
-#include "hpcqc/mqss/compile_farm.hpp"
 #include "hpcqc/mqss/service.hpp"
 #include "hpcqc/mqss/structure_cache.hpp"
 #include "hpcqc/qdmi/model_device.hpp"
@@ -26,70 +24,6 @@ namespace {
 
 StructureCache::Value make_value() {
   return std::make_shared<const CompiledTemplate>();
-}
-
-TEST(CompileFarm, DrainsEveryTaskAcrossWorkers) {
-  std::atomic<int> executed{0};
-  {
-    CompileFarm farm(4);
-    EXPECT_EQ(farm.worker_count(), 4u);
-    for (int i = 0; i < 200; ++i)
-      farm.enqueue([&executed] { executed.fetch_add(1); });
-    farm.wait_idle();
-    EXPECT_EQ(executed.load(), 200);
-    EXPECT_EQ(farm.tasks_executed(), 200u);
-    // Per-worker counters partition the total.
-    std::uint64_t sum = 0;
-    for (const auto n : farm.per_worker_executed()) sum += n;
-    EXPECT_EQ(sum, 200u);
-  }
-}
-
-TEST(CompileFarm, ZeroWorkersRunsInlineOnTheCallingThread) {
-  CompileFarm farm(0);
-  EXPECT_EQ(farm.worker_count(), 0u);
-  const auto caller = std::this_thread::get_id();
-  std::thread::id ran_on;
-  farm.enqueue([&ran_on] { ran_on = std::this_thread::get_id(); });
-  EXPECT_EQ(ran_on, caller);
-  farm.wait_idle();  // trivially idle
-  EXPECT_EQ(farm.tasks_executed(), 1u);
-  ASSERT_EQ(farm.per_worker_executed().size(), 1u);
-  EXPECT_EQ(farm.per_worker_executed()[0], 1u);
-}
-
-TEST(CompileFarm, DestructorDrainsTheQueue) {
-  std::atomic<int> executed{0};
-  {
-    CompileFarm farm(2);
-    for (int i = 0; i < 50; ++i)
-      farm.enqueue([&executed] {
-        std::this_thread::sleep_for(std::chrono::microseconds(100));
-        executed.fetch_add(1);
-      });
-    // No wait_idle(): the destructor must finish the backlog, not drop it.
-  }
-  EXPECT_EQ(executed.load(), 50);
-}
-
-TEST(CompileFarm, WaitIdleIsABarrierForInFlightTasks) {
-  CompileFarm farm(3);
-  std::atomic<int> done{0};
-  for (int i = 0; i < 30; ++i)
-    farm.enqueue([&done] {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      done.fetch_add(1);
-    });
-  farm.wait_idle();
-  EXPECT_EQ(done.load(), 30);
-  // Idle farm: wait_idle() returns immediately and can repeat.
-  farm.wait_idle();
-  EXPECT_EQ(farm.tasks_executed(), 30u);
-}
-
-TEST(CompileFarm, RejectsNullTasks) {
-  CompileFarm farm(1);
-  EXPECT_THROW(farm.enqueue({}), PreconditionError);
 }
 
 TEST(StructureCache, HitMissAndLruEvictionOrder) {
@@ -187,85 +121,12 @@ TEST(StructureCache, FactoryExceptionReachesEveryWaiterAndCachesNothing) {
   EXPECT_EQ(cache.stats().size, 1u);
 }
 
-TEST(StructureCache, PrefetchKeepsStatsIdenticalToColdLookups) {
-  // Path A: plain miss.
-  StructureCache cold(8);
-  cold.get_or_compile(5, make_value);
-  cold.get_or_compile(5, make_value);
-
-  // Path B: background prefetch first. The first foreground get still
-  // counts the miss (the work was paid for on its behalf), so stats agree.
-  StructureCache warmed(8);
-  warmed.prefetch(5, make_value);
-  EXPECT_EQ(warmed.stats().hits, 0u);
-  EXPECT_EQ(warmed.stats().misses, 0u);
-  EXPECT_EQ(warmed.stats().size, 1u);
-  EXPECT_FALSE(warmed.get_or_compile(5, make_value).hit);
-  EXPECT_TRUE(warmed.get_or_compile(5, make_value).hit);
-
-  EXPECT_EQ(cold.stats().hits, warmed.stats().hits);
-  EXPECT_EQ(cold.stats().misses, warmed.stats().misses);
-  EXPECT_EQ(cold.stats().size, warmed.stats().size);
-}
-
-TEST(StructureCache, PrefetchSwallowsFactoryExceptions) {
-  StructureCache cache(8);
-  EXPECT_NO_THROW(cache.prefetch(9, []() -> StructureCache::Value {
-    throw PreconditionError("background failure stays in the background");
-  }));
-  EXPECT_EQ(cache.stats().size, 0u);
-  // Foreground get recompiles and succeeds.
-  EXPECT_FALSE(cache.get_or_compile(9, make_value).hit);
-}
-
-TEST(StructureCache, PrefetchIsIdempotentWhileCachedOrInFlight) {
-  StructureCache cache(8);
-  int compiles = 0;
-  const auto counting = [&compiles] {
-    ++compiles;
-    return make_value();
-  };
-  cache.prefetch(11, counting);
-  cache.prefetch(11, counting);  // already cached: no recompile
-  EXPECT_EQ(compiles, 1);
-  cache.get_or_compile(11, counting);
-  cache.prefetch(11, counting);
-  EXPECT_EQ(compiles, 1);
-}
-
-TEST(StructureCache, FarmPrefetchesLandDeterministicallyForForegroundGets) {
-  // The integration shape: a farm fills the cache in the background while
-  // the foreground thread does get_or_compile on the same keys. Stats must
-  // come out as if the foreground had done all the work itself.
-  constexpr std::uint64_t kKeys = 24;
-  const auto run = [](std::size_t workers) {
-    StructureCache cache(64);
-    CompileFarm farm(workers);
-    for (std::uint64_t key = 0; key < kKeys; ++key)
-      farm.enqueue([&cache, key] { cache.prefetch(key, make_value); });
-    farm.wait_idle();
-    for (std::uint64_t key = 0; key < kKeys; ++key)
-      cache.get_or_compile(key, make_value);
-    for (std::uint64_t key = 0; key < kKeys; ++key)
-      cache.get_or_compile(key, make_value);
-    return cache.stats();
-  };
-  const StructureCacheStats serial = run(0);
-  const StructureCacheStats threaded = run(6);
-  EXPECT_EQ(serial.hits, threaded.hits);
-  EXPECT_EQ(serial.misses, threaded.misses);
-  EXPECT_EQ(serial.evictions, threaded.evictions);
-  EXPECT_EQ(serial.size, threaded.size);
-  EXPECT_EQ(serial.misses, kKeys);
-  EXPECT_EQ(serial.hits, kKeys);
-}
-
 TEST(StructureCache, EvictionRacesSingleFlightJoinWithoutLosingResults) {
   // A tiny capacity keeps the LRU under constant eviction pressure while
-  // farm prefetches and foreground readers join the same keys' in-flight
-  // compiles. Every lookup must still produce a value (an evicted entry is
-  // recompiled, never handed out null), and the cache must respect its
-  // capacity afterwards. Runs under tsan in CI.
+  // readers walking the keys in opposite orders join each other's
+  // in-flight compiles. Every lookup must still produce a value (an evicted
+  // entry is recompiled, never handed out null), and the cache must
+  // respect its capacity afterwards. Runs under tsan in CI.
   StructureCache cache(2);
   std::atomic<int> factory_runs{0};
   const auto slow_factory = [&factory_runs] {
@@ -275,23 +136,17 @@ TEST(StructureCache, EvictionRacesSingleFlightJoinWithoutLosingResults) {
   };
   constexpr std::uint64_t kKeys = 8;
   std::atomic<int> null_results{0};
-  {
-    CompileFarm farm(4);
-    for (int round = 0; round < 25; ++round)
-      for (std::uint64_t key = 0; key < kKeys; ++key)
-        farm.enqueue(
-            [&cache, &slow_factory, key] { cache.prefetch(key, slow_factory); });
-    std::vector<std::thread> readers;
-    for (int t = 0; t < 4; ++t)
-      readers.emplace_back([&cache, &slow_factory, &null_results] {
-        for (int round = 0; round < 50; ++round)
-          for (std::uint64_t key = 0; key < kKeys; ++key)
-            if (cache.get_or_compile(key, slow_factory).value == nullptr)
-              null_results.fetch_add(1);
-      });
-    for (auto& reader : readers) reader.join();
-    farm.wait_idle();
-  }
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 8; ++t)
+    readers.emplace_back([&cache, &slow_factory, &null_results, t] {
+      for (int round = 0; round < 50; ++round)
+        for (std::uint64_t i = 0; i < kKeys; ++i) {
+          const std::uint64_t key = t % 2 == 0 ? i : kKeys - 1 - i;
+          if (cache.get_or_compile(key, slow_factory).value == nullptr)
+            null_results.fetch_add(1);
+        }
+    });
+  for (auto& reader : readers) reader.join();
   EXPECT_EQ(null_results.load(), 0);
   const StructureCacheStats stats = cache.stats();
   EXPECT_LE(stats.size, 2u);
